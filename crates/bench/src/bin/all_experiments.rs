@@ -4,16 +4,25 @@
 //!
 //! - `--out DIR` — write one JSON report per experiment into `DIR`, and
 //!   checkpoint every finished (config, workload) cell under
-//!   `DIR/cells/<experiment>/`. An interrupted campaign (crash, OOM-kill,
-//!   `kill -9`) rerun with the same `--out DIR` resumes from the
-//!   committed cells and produces byte-identical reports.
+//!   `DIR/cells/`, keyed by cell identity alone. An interrupted campaign
+//!   (crash, OOM-kill, `kill -9`) rerun with the same `--out DIR` resumes
+//!   from the committed cells and produces byte-identical reports.
+//!   Older per-experiment `DIR/cells/<experiment>/` directories are not
+//!   read; their cells are simulated again.
 //! - `--only LIST` — run a comma-separated subset of the experiment ids
-//!   (e.g. `--only fig07,table5`).
+//!   (e.g. `--only fig07,table5`). A rerun reuses every cell that an
+//!   earlier step or run committed to the same `--out DIR`.
 //! - `--telemetry [--sample-window N]` — write one windowed time-series
 //!   JSONL file per cell under `DIR/telemetry/` (requires `--out`).
 //! - `--metrics-out PATH` — collect every cell's attributed byte
 //!   decomposition in a metrics registry and dump its stable JSON to
 //!   `PATH` at campaign end (observability-only; reports unchanged).
+//!
+//! One cell store serves the whole campaign, so a cell that several
+//! experiments ask for (the Alloy baselines above all) is simulated
+//! once and reloaded by every later step. Without `--out` the store
+//! lives in process memory: the campaign still simulates each cell once,
+//! but nothing persists.
 //!
 //! While running, a stderr heartbeat reports each completed cell
 //! (`[cell i/N (...) elapsed ..s, ETA ..s]`) so long campaigns are
@@ -73,6 +82,11 @@ fn main() {
     if args.metrics_out.is_some() {
         metrics::set_active(Some(bear_telemetry::Registry::new()));
     }
+    checkpoint::set_active(Some(
+        args.out
+            .as_deref()
+            .map_or_else(CellStore::in_memory, CellStore::new),
+    ));
     runner::set_heartbeat(true);
     for (name, f) in steps {
         if !args.selected(name) {
@@ -80,7 +94,6 @@ fn main() {
         }
         let t = Instant::now();
         supervisor::set_experiment(name);
-        checkpoint::set_active(args.out.as_deref().map(|d| CellStore::new(d, name)));
         let mut report = Report::new(name);
         f(&plan, &mut report);
         cli::write_report(&mut report, args.out.as_deref(), &plan);

@@ -1,14 +1,18 @@
-//! Campaign checkpoint/resume: durable per-cell result persistence.
+//! Campaign checkpoint/resume: one content-addressed cell store.
 //!
 //! A full experiment campaign simulates hundreds of (configuration,
-//! workload) cells over many minutes. Losing the whole campaign to a
-//! mid-run crash, OOM-kill, or `kill -9` would make long campaigns
-//! fragile, so every finished cell is persisted *incrementally* under the
-//! report directory:
+//! workload) cells over many minutes, and many experiments ask for the
+//! same cells (every design is measured against the same Alloy
+//! baseline). The store is keyed by cell identity alone, so a cell is
+//! simulated once per campaign and every later request — from the same
+//! step, a later step, or a rerun into the same report directory —
+//! reloads it. With a report directory, every finished cell is persisted
+//! *incrementally*, so losing the campaign to a mid-run crash, OOM-kill,
+//! or `kill -9` costs only the cells in flight:
 //!
 //! ```text
-//! DIR/cells/<experiment>/<slug>-<hash>.json   the cell's RunStats
-//! DIR/cells/<experiment>/<slug>-<hash>.done   commit marker (empty)
+//! DIR/cells/<slug>-<hash>.json   the cell's RunStats
+//! DIR/cells/<slug>-<hash>.done   commit marker: digest of the .json bytes
 //! ```
 //!
 //! The write protocol is crash-safe: stats are written to a temp file,
@@ -22,31 +26,39 @@
 //! truncation) hashes wrong and is rejected, not merely relied on to
 //! fail JSON parsing.
 //!
+//! Without a report directory the same store keeps the committed bytes
+//! and markers in an in-process map ([`CellStore::in_memory`]): the same
+//! commit and load path, digest check, identity check and JSON round
+//! trip, only nothing reaches the disk.
+//!
 //! `<hash>` is an FNV-1a digest of the **full Debug rendering** of the
 //! cell's configuration and workload, so any parameter change — cycle
 //! counts, scale, feature flags, suite contents — changes the filename
 //! and stale cells are never reused. Reuse requires the `.done` marker,
 //! a parseable document, and a matching recorded hash; anything less and
-//! the cell silently re-runs.
+//! the cell silently re-runs. Directories of the older per-experiment
+//! layout (`DIR/cells/<experiment>/`) are not read: their cells are
+//! simulated again, which costs work but never correctness.
 //!
 //! Because [`crate::report::stats_to_json`] round-trips `RunStats`
-//! bit-for-bit, a resumed campaign produces a merged report **byte
-//! identical** to an uninterrupted one (pinned by the `resume_identical`
-//! integration test).
+//! bit-for-bit, a resumed or deduplicated campaign produces reports
+//! **byte identical** to an uninterrupted one that simulated every
+//! request (pinned by the `resume` integration tests).
 //!
-//! The store is activated per experiment by the campaign driver
+//! The store is activated once per campaign by the driver
 //! ([`set_active`]); `try_run_one` consults it transparently, so every
-//! experiment module gains checkpointing without code changes.
+//! experiment module gains checkpointing and reuse without code changes.
 
 use crate::report::{stats_from_json, stats_to_json, Json};
 use bear_core::config::SystemConfig;
 use bear_core::metrics::RunStats;
 use bear_sim::faultinject::ChaosKind;
 use bear_workloads::Workload;
+use std::collections::BTreeMap;
 use std::fs::{self, File};
 use std::io::Write as _;
 use std::path::{Path, PathBuf};
-use std::sync::Mutex;
+use std::sync::{Arc, Mutex};
 
 /// FNV-1a 64-bit hash (offline-first: no hasher dependencies).
 pub(crate) fn fnv1a64(bytes: &[u8]) -> u64 {
@@ -77,38 +89,54 @@ pub fn cell_stem(cfg: &SystemConfig, workload: &Workload) -> String {
     format!("{slug}-{:016x}", cell_hash(cfg, workload))
 }
 
-/// Durable store for one experiment's finished cells.
+/// Store of committed cells, keyed by cell identity.
 #[derive(Debug, Clone)]
 pub struct CellStore {
-    dir: PathBuf,
+    backend: Backend,
+}
+
+/// Where a [`CellStore`] keeps its `<stem>.json` / `<stem>.done` pairs.
+#[derive(Debug, Clone)]
+enum Backend {
+    /// Files in a directory, under the crash-safe commit protocol.
+    Dir(PathBuf),
+    /// An in-process map from file name to contents, shared by clones.
+    Mem(Arc<Mutex<BTreeMap<String, String>>>),
 }
 
 impl CellStore {
-    /// Store rooted at `OUT_DIR/cells/<experiment>/`.
-    pub fn new(out_dir: &Path, experiment: &str) -> CellStore {
-        CellStore {
-            dir: out_dir.join("cells").join(experiment),
-        }
+    /// Store rooted at `OUT_DIR/cells/`.
+    pub fn new(out_dir: &Path) -> CellStore {
+        CellStore::at(&out_dir.join("cells"))
     }
 
     /// Store rooted at an explicit directory — for journals that reuse
-    /// the commit protocol but are not per-experiment cell caches (the
+    /// the commit protocol but are not campaign cell caches (the
     /// campaign daemon's job journal).
     pub fn at(dir: &Path) -> CellStore {
         CellStore {
-            dir: dir.to_path_buf(),
+            backend: Backend::Dir(dir.to_path_buf()),
         }
     }
 
-    fn raw_paths(&self, stem: &str) -> (PathBuf, PathBuf) {
-        (
-            self.dir.join(format!("{stem}.json")),
-            self.dir.join(format!("{stem}.done")),
-        )
+    /// Store that keeps committed records in process memory: a campaign
+    /// without a report directory still simulates each cell once.
+    pub fn in_memory() -> CellStore {
+        CellStore {
+            backend: Backend::Mem(Arc::default()),
+        }
     }
 
-    fn paths(&self, cfg: &SystemConfig, workload: &Workload) -> (PathBuf, PathBuf) {
-        self.raw_paths(&cell_stem(cfg, workload))
+    /// Contents of the record file `name`, if present.
+    fn read(&self, name: &str) -> Option<String> {
+        match &self.backend {
+            Backend::Dir(dir) => fs::read_to_string(dir.join(name)).ok(),
+            Backend::Mem(files) => files
+                .lock()
+                .expect("cell store poisoned")
+                .get(name)
+                .cloned(),
+        }
     }
 
     /// Loads a committed cell, or `None` when the cell is absent,
@@ -148,8 +176,8 @@ impl CellStore {
 
     /// [`CellStore::store`] with an optional chaos fault applied at the
     /// weakest points of the protocol: [`ChaosKind::CheckpointIo`] fails
-    /// at the data file's fsync (nothing is committed — the classic
-    /// full-disk / dying-device failure), and
+    /// the commit as a failed fsync of the data file would (nothing is
+    /// committed — the classic full-disk / dying-device failure), and
     /// [`ChaosKind::TornCheckpoint`] truncates the data file *after* the
     /// commit marker landed (the committed-looking artifact a crashed
     /// filesystem can leave). Any other kind is a plain store.
@@ -175,36 +203,52 @@ impl CellStore {
 
     /// The shared commit path: temp file, fsync, rename, fsync'd `.done`
     /// marker recording the digest of the exact committed bytes, with the
-    /// optional chaos fault applied at the protocol's weakest points.
+    /// optional chaos fault applied at the protocol's weakest points. An
+    /// in-memory store records the same bytes and marker.
     fn commit_raw(&self, stem: &str, body: &str, fault: Option<ChaosKind>) -> std::io::Result<()> {
-        fs::create_dir_all(&self.dir)?;
-        let (json_path, done_path) = self.raw_paths(stem);
+        if fault == Some(ChaosKind::CheckpointIo) {
+            // The injected fsync failure: the data never provably
+            // reached the disk, so the cell stays uncommitted.
+            return Err(std::io::Error::other(
+                "chaos: injected fsync failure (checkpoint-io)",
+            ));
+        }
+        let marker = format!("{:016x}\n", fnv1a64(body.as_bytes()));
+        let torn = fault == Some(ChaosKind::TornCheckpoint);
+        let dir = match &self.backend {
+            Backend::Dir(dir) => dir,
+            Backend::Mem(files) => {
+                let kept = if torn {
+                    body.get(..body.len() * 3 / 5).unwrap_or_default()
+                } else {
+                    body
+                };
+                let mut files = files.lock().expect("cell store poisoned");
+                files.insert(format!("{stem}.json"), kept.to_string());
+                files.insert(format!("{stem}.done"), marker);
+                return Ok(());
+            }
+        };
+        fs::create_dir_all(dir)?;
+        let json_path = dir.join(format!("{stem}.json"));
         let tmp = json_path.with_extension("json.tmp");
         {
             let mut f = File::create(&tmp)?;
             f.write_all(body.as_bytes())?;
-            if fault == Some(ChaosKind::CheckpointIo) {
-                // The injected fsync failure: the data never provably
-                // reached the disk, so the cell stays uncommitted.
-                fs::remove_file(&tmp).ok();
-                return Err(std::io::Error::other(
-                    "chaos: injected fsync failure (checkpoint-io)",
-                ));
-            }
             f.sync_all()?;
         }
         fs::rename(&tmp, &json_path)?;
         {
-            let mut marker = File::create(&done_path)?;
-            marker.write_all(format!("{:016x}\n", fnv1a64(body.as_bytes())).as_bytes())?;
-            marker.sync_all()?;
+            let mut f = File::create(dir.join(format!("{stem}.done")))?;
+            f.write_all(marker.as_bytes())?;
+            f.sync_all()?;
         }
         // Make the rename and the marker's directory entry durable too
         // (best-effort: not all filesystems support fsync on directories).
-        if let Ok(d) = File::open(&self.dir) {
+        if let Ok(d) = File::open(dir) {
             d.sync_all().ok();
         }
-        if fault == Some(ChaosKind::TornCheckpoint) {
+        if torn {
             crate::chaos::tear_file(&json_path);
         }
         Ok(())
@@ -226,9 +270,8 @@ impl CellStore {
     /// absent, uncommitted, or its bytes no longer hash to the digest the
     /// `.done` marker recorded at commit time.
     pub fn load_raw(&self, stem: &str) -> Option<String> {
-        let (json_path, done_path) = self.raw_paths(stem);
-        let committed_digest = fs::read_to_string(&done_path).ok()?;
-        let body = fs::read_to_string(&json_path).ok()?;
+        let committed_digest = self.read(&format!("{stem}.done"))?;
+        let body = self.read(&format!("{stem}.json"))?;
         if committed_digest.trim() != format!("{:016x}", fnv1a64(body.as_bytes())) {
             return None; // torn or truncated after commit
         }
@@ -239,14 +282,23 @@ impl CellStore {
     /// without a `.done` marker are invisible; torn records still list
     /// (their marker exists) but fail [`CellStore::load_raw`].
     pub fn list_raw(&self) -> Vec<String> {
-        let Ok(entries) = fs::read_dir(&self.dir) else {
-            return Vec::new();
+        let names: Vec<String> = match &self.backend {
+            Backend::Dir(dir) => match fs::read_dir(dir) {
+                Ok(entries) => entries
+                    .filter_map(|e| e.ok()?.file_name().into_string().ok())
+                    .collect(),
+                Err(_) => Vec::new(),
+            },
+            Backend::Mem(files) => files
+                .lock()
+                .expect("cell store poisoned")
+                .keys()
+                .cloned()
+                .collect(),
         };
-        let mut stems: Vec<String> = entries
-            .filter_map(|e| {
-                let name = e.ok()?.file_name().into_string().ok()?;
-                Some(name.strip_suffix(".done")?.to_string())
-            })
+        let mut stems: Vec<String> = names
+            .iter()
+            .filter_map(|name| Some(name.strip_suffix(".done")?.to_string()))
             .collect();
         stems.sort();
         stems
@@ -259,10 +311,18 @@ impl CellStore {
     ///
     /// Propagates the underlying filesystem error.
     pub fn set_flag(&self, stem: &str, flag: &str) -> std::io::Result<()> {
-        fs::create_dir_all(&self.dir)?;
-        let f = File::create(self.dir.join(format!("{stem}.{flag}")))?;
-        f.sync_all()?;
-        if let Ok(d) = File::open(&self.dir) {
+        let name = format!("{stem}.{flag}");
+        let dir = match &self.backend {
+            Backend::Dir(dir) => dir,
+            Backend::Mem(files) => {
+                let mut files = files.lock().expect("cell store poisoned");
+                files.insert(name, String::new());
+                return Ok(());
+            }
+        };
+        fs::create_dir_all(dir)?;
+        File::create(dir.join(name))?.sync_all()?;
+        if let Ok(d) = File::open(dir) {
             d.sync_all().ok();
         }
         Ok(())
@@ -270,15 +330,21 @@ impl CellStore {
 
     /// Whether [`CellStore::set_flag`] was durably recorded for `stem`.
     pub fn has_flag(&self, stem: &str, flag: &str) -> bool {
-        self.dir.join(format!("{stem}.{flag}")).exists()
+        self.read(&format!("{stem}.{flag}")).is_some()
     }
 
     /// Path of this cell's committed data file, or `None` when the cell
     /// has no `.done` marker on disk (quarantine manifests record this so
-    /// a failure's repro pointer says whether cached work exists).
+    /// a failure's repro pointer says whether cached work exists). An
+    /// in-memory store has no files, so it always answers `None`.
     pub fn committed_path(&self, cfg: &SystemConfig, workload: &Workload) -> Option<PathBuf> {
-        let (json_path, done_path) = self.paths(cfg, workload);
-        done_path.exists().then_some(json_path)
+        let Backend::Dir(dir) = &self.backend else {
+            return None;
+        };
+        let stem = cell_stem(cfg, workload);
+        dir.join(format!("{stem}.done"))
+            .exists()
+            .then(|| dir.join(format!("{stem}.json")))
     }
 }
 
@@ -287,18 +353,19 @@ impl CellStore {
 static ACTIVE: Mutex<Option<CellStore>> = Mutex::new(None);
 
 /// Activates (or, with `None`, deactivates) checkpointing for subsequent
-/// cells. The campaign driver calls this once per experiment step.
+/// cells. The campaign driver calls this once, before its first step.
 pub fn set_active(store: Option<CellStore>) {
     *ACTIVE.lock().expect("checkpoint store poisoned") = store;
 }
 
+/// A handle on the active store; the lock is not held across its I/O.
+fn active() -> Option<CellStore> {
+    ACTIVE.lock().expect("checkpoint store poisoned").clone()
+}
+
 /// Looks a cell up in the active store, if any.
 pub(crate) fn load_active(cfg: &SystemConfig, workload: &Workload) -> Option<RunStats> {
-    ACTIVE
-        .lock()
-        .expect("checkpoint store poisoned")
-        .as_ref()?
-        .load(cfg, workload)
+    active()?.load(cfg, workload)
 }
 
 /// Persists a cell to the active store, if any. Write errors degrade to
@@ -308,7 +375,7 @@ pub(crate) fn load_active(cfg: &SystemConfig, workload: &Workload) -> Option<Run
 /// *absorbed* supervision event: the in-memory result survives either
 /// way, so the fault costs a re-run after a crash, never a result.
 pub(crate) fn store_active(cfg: &SystemConfig, workload: &Workload, stats: &RunStats) {
-    if let Some(store) = ACTIVE.lock().expect("checkpoint store poisoned").as_ref() {
+    if let Some(store) = active() {
         let fault = crate::chaos::checkpoint_fault_for(cfg, workload);
         match store.store_with_fault(cfg, workload, stats, fault) {
             Ok(()) => {
@@ -344,10 +411,7 @@ pub(crate) fn store_active(cfg: &SystemConfig, workload: &Workload, stats: &RunS
 /// string for the failure manifest; `None` without an active store or a
 /// committed cell.
 pub(crate) fn active_committed_path(cfg: &SystemConfig, workload: &Workload) -> Option<String> {
-    ACTIVE
-        .lock()
-        .expect("checkpoint store poisoned")
-        .as_ref()?
+    active()?
         .committed_path(cfg, workload)
         .map(|p| p.display().to_string())
 }
@@ -389,7 +453,7 @@ mod tests {
     fn store_then_load_roundtrips_exactly() {
         let dir = tmp_dir("roundtrip");
         let (cfg, workload, stats) = sample();
-        let store = CellStore::new(&dir, "figXX");
+        let store = CellStore::new(&dir);
         assert!(store.load(&cfg, &workload).is_none(), "empty store misses");
         store.store(&cfg, &workload, &stats).expect("store cell");
         assert_eq!(store.load(&cfg, &workload), Some(stats));
@@ -400,9 +464,10 @@ mod tests {
     fn uncommitted_or_corrupt_cells_are_ignored() {
         let dir = tmp_dir("corrupt");
         let (cfg, workload, stats) = sample();
-        let store = CellStore::new(&dir, "figXX");
+        let store = CellStore::new(&dir);
         store.store(&cfg, &workload, &stats).expect("store cell");
-        let (json_path, done_path) = store.paths(&cfg, &workload);
+        let json_path = store.committed_path(&cfg, &workload).expect("committed");
+        let done_path = json_path.with_extension("done");
 
         // Truncated (crash mid-write would have hit the tmp file, but
         // defend against external corruption too).
@@ -420,7 +485,7 @@ mod tests {
     fn changed_config_changes_the_cell_identity() {
         let dir = tmp_dir("stale");
         let (cfg, workload, stats) = sample();
-        let store = CellStore::new(&dir, "figXX");
+        let store = CellStore::new(&dir);
         store.store(&cfg, &workload, &stats).expect("store cell");
         let mut changed = cfg.clone();
         changed.measure_cycles += 1;
@@ -440,9 +505,9 @@ mod tests {
         // digest in the `.done` marker covers the exact committed bytes.
         let dir = tmp_dir("torn");
         let (cfg, workload, stats) = sample();
-        let store = CellStore::new(&dir, "figXX");
+        let store = CellStore::new(&dir);
         store.store(&cfg, &workload, &stats).expect("store cell");
-        let (json_path, _) = store.paths(&cfg, &workload);
+        let json_path = store.committed_path(&cfg, &workload).expect("committed");
         let full = fs::read(&json_path).expect("read committed bytes");
         for keep in (0..full.len()).step_by(7).chain([full.len() - 1]) {
             fs::write(&json_path, &full[..keep]).expect("tear");
@@ -463,9 +528,9 @@ mod tests {
     fn bitflip_in_a_committed_cell_is_rejected() {
         let dir = tmp_dir("bitflip");
         let (cfg, workload, stats) = sample();
-        let store = CellStore::new(&dir, "figXX");
+        let store = CellStore::new(&dir);
         store.store(&cfg, &workload, &stats).expect("store cell");
-        let (json_path, _) = store.paths(&cfg, &workload);
+        let json_path = store.committed_path(&cfg, &workload).expect("committed");
         let mut bytes = fs::read(&json_path).expect("read committed bytes");
         let mid = bytes.len() / 2;
         bytes[mid] ^= 0x20;
@@ -482,7 +547,7 @@ mod tests {
         use bear_sim::faultinject::ChaosKind;
         let dir = tmp_dir("chaosfault");
         let (cfg, workload, stats) = sample();
-        let store = CellStore::new(&dir, "figXX");
+        let store = CellStore::new(&dir);
 
         // checkpoint-io: the store fails, nothing is committed.
         let err = store
@@ -513,6 +578,39 @@ mod tests {
     }
 
     #[test]
+    fn memory_store_shares_the_commit_protocol() {
+        let (cfg, workload, stats) = sample();
+        let store = CellStore::in_memory();
+        assert!(store.load(&cfg, &workload).is_none(), "empty store misses");
+        store.store(&cfg, &workload, &stats).expect("store cell");
+        assert_eq!(
+            store.clone().load(&cfg, &workload),
+            Some(stats.clone()),
+            "clones share one map"
+        );
+        assert!(store.committed_path(&cfg, &workload).is_none(), "no files");
+        let mut changed = cfg.clone();
+        changed.measure_cycles += 1;
+        assert!(store.load(&changed, &workload).is_none());
+
+        // Injected faults: nothing committed, or committed but torn.
+        let other = CellStore::in_memory();
+        other
+            .store_with_fault(&cfg, &workload, &stats, Some(ChaosKind::CheckpointIo))
+            .expect_err("injected fsync failure must error");
+        assert!(other.list_raw().is_empty());
+        other
+            .store_with_fault(&cfg, &workload, &stats, Some(ChaosKind::TornCheckpoint))
+            .expect("torn store commits before tearing");
+        assert_eq!(other.list_raw(), vec![cell_stem(&cfg, &workload)]);
+        assert!(other.load(&cfg, &workload).is_none(), "digest rejects it");
+
+        store.set_flag("x", "cancelled").expect("flag");
+        assert!(store.has_flag("x", "cancelled"));
+        assert!(!store.has_flag("y", "cancelled"));
+    }
+
+    #[test]
     fn raw_records_share_the_commit_protocol() {
         let dir = tmp_dir("raw");
         let store = CellStore::at(&dir.join("jobs"));
@@ -531,7 +629,7 @@ mod tests {
         assert_eq!(store.list_raw(), vec!["job-1", "job-2"]);
 
         // Torn after commit: listed (the marker exists) but rejected.
-        let (json_path, _) = store.raw_paths("job-1");
+        let json_path = dir.join("jobs").join("job-1.json");
         fs::write(&json_path, "{\"id\"").expect("tear");
         assert!(store.load_raw("job-1").is_none());
         assert_eq!(store.list_raw().len(), 2);

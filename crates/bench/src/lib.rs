@@ -183,9 +183,9 @@ pub fn run_one(cfg: &SystemConfig, workload: &Workload) -> RunStats {
 /// [`SimError`](bear_sim::error::SimError)s instead of panicking.
 ///
 /// When a campaign activated a [`checkpoint`] store, a committed cell is
-/// loaded from disk instead of re-simulating, and a freshly simulated
-/// cell is persisted before returning — this is what makes interrupted
-/// campaigns resumable.
+/// reloaded instead of re-simulating, and a freshly simulated cell is
+/// committed before returning — this is what makes interrupted campaigns
+/// resumable and lets every experiment share the cells another one ran.
 ///
 /// When a campaign activated a [`telemetry`] sink, each freshly simulated
 /// cell is armed for windowed sampling and its time series written next
@@ -194,7 +194,8 @@ pub fn run_one(cfg: &SystemConfig, workload: &Workload) -> RunStats {
 ///
 /// When a campaign armed a [`metrics`] registry (`--metrics-out`), each
 /// freshly simulated cell additionally records its attributed byte
-/// decomposition there — observability-only, never touching the stats.
+/// decomposition there, and a reloaded cell counts as reused —
+/// observability-only, never touching the stats.
 ///
 /// # Errors
 ///
@@ -203,6 +204,7 @@ pub fn run_one(cfg: &SystemConfig, workload: &Workload) -> RunStats {
 /// (in debug builds) invariant violations.
 pub fn try_run_one(cfg: &SystemConfig, workload: &Workload) -> RunOutcome<RunStats> {
     if let Some(cached) = checkpoint::load_active(cfg, workload) {
+        metrics::record_reuse(cfg);
         runner::heartbeat(cfg, workload);
         return Ok(cached);
     }

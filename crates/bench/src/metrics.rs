@@ -5,7 +5,9 @@
 //! transparently by `try_run_one` — each freshly simulated cell records
 //! its bandwidth-attribution decomposition (per-category cache bytes
 //! from the ledger-backed [`BloatBreakdown`]), memory bytes, and bloat
-//! factor. The driver dumps the registry's stable JSON at campaign end
+//! factor, and each cell reloaded from the campaign's cell store counts
+//! as reused, so `bear_cells_total` + `bear_cells_reused_total` is the
+//! number of cells requested. The driver dumps the registry's stable JSON at campaign end
 //! via [`write_active`].
 //!
 //! Observability-only by construction: nothing here touches `RunStats`
@@ -83,6 +85,20 @@ pub(crate) fn record_cell(cfg: &SystemConfig, workload: &Workload, stats: &RunSt
         &[("design", design), ("workload", workload)],
     )
     .set(stats.bloat.factor());
+}
+
+/// Counts one cell reloaded from the campaign's cell store instead of
+/// simulated (no-op when no registry is armed).
+pub(crate) fn record_reuse(cfg: &SystemConfig) {
+    let Some(reg) = active() else {
+        return;
+    };
+    reg.set_help(
+        "bear_cells_reused_total",
+        "Cells reloaded from the cell store instead of simulated",
+    );
+    reg.counter("bear_cells_reused_total", &[("design", cfg.design.label())])
+        .inc();
 }
 
 /// Writes the active registry's stable JSON dump to `path`, atomically

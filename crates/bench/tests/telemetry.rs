@@ -131,7 +131,7 @@ fn telemetry_off_is_free_and_resume_does_not_duplicate() {
     // Phase 2: resume. Commit the cell to a checkpoint store, delete its
     // sample file, then rerun with both store and sink active: the cached
     // cell must come back from disk without the sample file reappearing.
-    checkpoint::set_active(Some(CellStore::new(&dir, "guard")));
+    checkpoint::set_active(Some(CellStore::new(&dir)));
     telemetry::set_active(Some(TelemetrySink::new(&dir, Some(WINDOW))));
     let first = try_run_one(&cfg, &workload).expect("fresh checkpointed run");
     fs::remove_file(&jsonl_path).expect("drop the sample file");

@@ -25,7 +25,10 @@ cargo test -q -p bear-core --offline -- \
 echo "==> kill -9 then resume determinism check"
 # A campaign killed mid-flight and resumed must produce a report byte-
 # identical to an uninterrupted one (spawns all_experiments, SIGKILLs it
-# once cells are committed, reruns, diffs).
+# once cells are committed to the flat DIR/cells/ store, reruns, diffs).
+# The same suite checks that steps share that store: fig12+table4
+# commits each distinct cell once, and table4 built from reused cells is
+# byte-identical to table4 run alone.
 cargo test -q -p bear-bench --offline --test resume
 
 echo "==> chaos smoke (seeded faults, retry/quarantine, byte-identical recovery)"
