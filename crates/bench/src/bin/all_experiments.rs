@@ -17,6 +17,8 @@
 //! - `--metrics-out PATH` — collect every cell's attributed byte
 //!   decomposition in a metrics registry and dump its stable JSON to
 //!   `PATH` at campaign end (observability-only; reports unchanged).
+//! - `--scale {1/512,1/64,1/8,1}` — joint capacity/budget preset, as for
+//!   the single-experiment binaries (see [`bear_bench::cli`]).
 //!
 //! One cell store serves the whole campaign, so a cell that several
 //! experiments ask for (the Alloy baselines above all) is simulated
@@ -40,7 +42,7 @@
 use bear_bench::checkpoint::{self, CellStore};
 use bear_bench::experiments as ex;
 use bear_bench::report::Report;
-use bear_bench::{chaos, cli, metrics, runner, supervisor, telemetry, RunPlan};
+use bear_bench::{chaos, cli, runner, supervisor, RunPlan};
 use std::time::Instant;
 
 /// One experiment step: report id plus its entry point.
@@ -48,7 +50,6 @@ type Step = (&'static str, fn(&RunPlan, &mut Report));
 
 fn main() {
     let args = cli::parse_campaign_args(std::env::args().skip(1));
-    let plan = RunPlan::from_env();
     let t0 = Instant::now();
     let steps: [Step; 15] = [
         ("fig03", ex::fig03_designs::run),
@@ -78,10 +79,7 @@ fn main() {
     }
     chaos::arm_from_env(args.out.as_deref());
     supervisor::set_manifest_dir(args.out.as_deref());
-    telemetry::set_active(args.telemetry_sink());
-    if args.metrics_out.is_some() {
-        metrics::set_active(Some(bear_telemetry::Registry::new()));
-    }
+    let plan = cli::setup(&args);
     checkpoint::set_active(Some(
         args.out
             .as_deref()
@@ -115,18 +113,8 @@ fn main() {
     if let Some(report) = supervisor::profile_report() {
         eprintln!("[{report}]");
     }
-    if let Some(path) = args.metrics_out.as_deref() {
-        match metrics::write_active(path) {
-            Ok(p) => eprintln!("[metrics: {}]", p.display()),
-            Err(e) => eprintln!(
-                "[warning: failed to write metrics to {}: {e}]",
-                path.display()
-            ),
-        }
-        metrics::set_active(None);
-    }
+    cli::teardown(&args);
     runner::set_heartbeat(false);
-    telemetry::set_active(None);
     checkpoint::set_active(None);
     supervisor::set_manifest_dir(None);
 }

@@ -6,31 +6,14 @@
 //! benchmark summary (the repo-root `BENCH_core.json` emitted by
 //! `scripts/verify.sh`): the headline gmean speedup plus per-cell
 //! wall-clock times in both modes, derived from the report's scalars.
-//!
-//! `--threads LIST` (e.g. `--threads 2,4`) additionally reruns the
-//! event-driven grid at each listed `BEAR_SIM_THREADS` count, asserting
-//! bit-identical simulated results and recording per-thread-count gmean
-//! speedups (`speedup_gmean_t<N>` scalars; a `threaded` array in the
-//! benchmark summary). The headline `speedup_gmean` stays the serial
-//! ratio so the committed perf floor keeps one meaning.
 
 use bear_bench::report::{Json, Report};
 use std::path::PathBuf;
 
-/// Splits `--bench-json PATH` and `--threads LIST` (space or `=` forms)
-/// out of the argument list, leaving the rest for the standard
-/// single-binary parser.
-fn split_local_flags(args: Vec<String>) -> (Option<PathBuf>, Vec<usize>, Vec<String>) {
-    fn parse_threads(list: &str) -> Vec<usize> {
-        list.split(',')
-            .filter(|s| !s.is_empty())
-            .map(|s| {
-                bear_dram::shard::parse_sim_threads(s).unwrap_or_else(|e| panic!("--threads: {e}"))
-            })
-            .collect()
-    }
+/// Splits `--bench-json PATH` (space or `=` form) out of the argument
+/// list, leaving the rest for the standard single-binary parser.
+fn split_local_flags(args: Vec<String>) -> (Option<PathBuf>, Vec<String>) {
     let mut path = None;
-    let mut threads = Vec::new();
     let mut rest = Vec::new();
     let mut it = args.into_iter();
     while let Some(a) = it.next() {
@@ -41,18 +24,11 @@ fn split_local_flags(args: Vec<String>) -> (Option<PathBuf>, Vec<usize>, Vec<Str
             path = Some(PathBuf::from(v));
         } else if let Some(v) = a.strip_prefix("--bench-json=") {
             path = Some(PathBuf::from(v));
-        } else if a == "--threads" {
-            let v = it
-                .next()
-                .unwrap_or_else(|| panic!("--threads requires a comma-separated count list"));
-            threads = parse_threads(&v);
-        } else if let Some(v) = a.strip_prefix("--threads=") {
-            threads = parse_threads(v);
         } else {
             rest.push(a);
         }
     }
-    (path, threads, rest)
+    (path, rest)
 }
 
 /// Builds the benchmark summary document from the finished report:
@@ -86,32 +62,18 @@ fn bench_json(report: &Report) -> Json {
             ),
         ]));
     }
-    // Threaded sweep results, when `--threads` ran one: one entry per
-    // swept `BEAR_SIM_THREADS` count.
-    let mut threaded = Vec::new();
-    for (key, g) in &report.scalars {
-        let Some(t) = key.strip_prefix("speedup_gmean_t") else {
-            continue;
-        };
-        threaded.push(Json::Obj(vec![
-            ("threads".into(), Json::Num(t.parse().unwrap_or(0.0))),
-            ("speedup_gmean".into(), Json::Num(*g)),
-        ]));
-    }
     Json::Obj(vec![
         ("bench".into(), Json::Str("loop_speedup".into())),
         (
             "speedup_gmean".into(),
             Json::Num(scalar("speedup_gmean").unwrap_or(0.0)),
         ),
-        ("threaded".into(), Json::Arr(threaded)),
         ("cells".into(), Json::Arr(cells)),
     ])
 }
 
 fn main() {
-    let (bench_path, threads, rest) = split_local_flags(std::env::args().skip(1).collect());
-    bear_bench::experiments::loop_speedup::set_thread_sweep(threads);
+    let (bench_path, rest) = split_local_flags(std::env::args().skip(1).collect());
     let args = bear_bench::cli::parse_single_args(rest.into_iter());
     let report = bear_bench::cli::run_single_with(
         "loop_speedup",

@@ -225,6 +225,19 @@ pub fn run_single_with(
     args: CampaignArgs,
     f: fn(&RunPlan, &mut Report),
 ) -> Report {
+    let plan = setup(&args);
+    let mut report = Report::new(experiment);
+    f(&plan, &mut report);
+    write_report(&mut report, args.out.as_deref(), &plan);
+    teardown(&args);
+    report
+}
+
+/// Applies the process-wide settings `args` request — the `--scale`
+/// preset, then the telemetry sink, then the metrics registry — and
+/// returns the run plan built under that preset. Every driver calls this
+/// once before simulating anything, and [`teardown`] at the end.
+pub fn setup(args: &CampaignArgs) -> RunPlan {
     if let Some(preset) = args.scale {
         crate::set_scale_preset(preset);
     }
@@ -233,9 +246,13 @@ pub fn run_single_with(
     if args.metrics_out.is_some() {
         crate::metrics::set_active(Some(bear_telemetry::Registry::new()));
     }
-    let mut report = Report::new(experiment);
-    f(&plan, &mut report);
-    write_report(&mut report, args.out.as_deref(), &plan);
+    plan
+}
+
+/// Undoes [`setup`]: writes the metrics dump `--metrics-out` asked for
+/// (logging its path, or a warning, to stderr), then disarms the
+/// registry and the telemetry sink.
+pub fn teardown(args: &CampaignArgs) {
     if let Some(path) = args.metrics_out.as_deref() {
         match crate::metrics::write_active(path) {
             Ok(p) => eprintln!("[metrics: {}]", p.display()),
@@ -247,7 +264,6 @@ pub fn run_single_with(
         crate::metrics::set_active(None);
     }
     crate::telemetry::set_active(None);
-    report
 }
 
 /// Folds any cell failures recorded during the experiment into `report`,

@@ -177,6 +177,7 @@ impl Json {
     /// ```
     pub fn parse(text: &str) -> Result<Json, String> {
         let mut p = JsonParser {
+            src: text,
             bytes: text.as_bytes(),
             pos: 0,
         };
@@ -237,6 +238,7 @@ impl Json {
 /// Recursive-descent parser over the subset of JSON [`Json`] emits (which
 /// is all of JSON minus non-integer `\u` surrogate abuse).
 struct JsonParser<'a> {
+    src: &'a str,
     bytes: &'a [u8],
     pos: usize,
 }
@@ -363,11 +365,12 @@ impl JsonParser<'_> {
                     self.pos += 1;
                 }
                 Some(_) => {
-                    // Consume one UTF-8 scalar (input is a &str, so the
-                    // encoding is already valid).
-                    let rest = &self.bytes[self.pos..];
-                    let s = unsafe { std::str::from_utf8_unchecked(rest) };
-                    let c = s.chars().next().expect("non-empty");
+                    // Consume one UTF-8 scalar from the source text.
+                    let c = self
+                        .src
+                        .get(self.pos..)
+                        .and_then(|rest| rest.chars().next())
+                        .ok_or_else(|| format!("split UTF-8 scalar at byte {}", self.pos))?;
                     out.push(c);
                     self.pos += c.len_utf8();
                 }
@@ -813,7 +816,10 @@ mod tests {
     #[test]
     fn parse_roundtrips_own_output() {
         let v = Json::Obj(vec![
-            ("title".into(), Json::Str("tabs\tand \"quotes\"\n".into())),
+            (
+                "title".into(),
+                Json::Str("tabs\tand \"quotes\"\n, B × BD é\u{1F43B}".into()),
+            ),
             (
                 "nums".into(),
                 Json::Arr(vec![

@@ -183,13 +183,8 @@ pub(crate) fn heartbeat(cfg: &SystemConfig, workload: &Workload) {
     let remaining = p.total.saturating_sub(p.done);
     let eta = elapsed / p.done as f64 * remaining as f64;
     let recovery = supervisor::recovery_note().map_or(String::new(), |n| format!("; {n}"));
-    // Surface the channel-shard count each cell simulates under
-    // (`BEAR_SIM_THREADS`); a malformed value would already have failed
-    // the cell's `System::try_build`, so display falls back to serial.
-    let sim_threads = bear_dram::shard::sim_threads_from_env().unwrap_or(1);
     eprintln!(
-        "[cell {}/{} ({} × {}, sim-threads {sim_threads}) elapsed {elapsed:.1}s, \
-         ETA {eta:.1}s{recovery}]",
+        "[cell {}/{} ({} × {}) elapsed {elapsed:.1}s, ETA {eta:.1}s{recovery}]",
         p.done,
         p.total.max(p.done),
         cfg.design.label(),

@@ -182,9 +182,6 @@ fn metrics_scrape_is_parseable_and_consistent() {
     // State-derived gauges reflect the drained-queue reality.
     assert_eq!(counter_sum(registry, "beard_queue_depth"), 0.0);
     assert_eq!(counter_sum(registry, "beard_draining"), 0.0);
-    // The channel-shard thread count is scrapeable (serial in this test:
-    // BEAR_SIM_THREADS is unset).
-    assert_eq!(counter_sum(registry, "beard_sim_threads"), 1.0);
 
     // The exposition carries the same series (spot check).
     assert!(exposition.contains("beard_admissions_total"));

@@ -334,3 +334,27 @@ fn steps_share_one_store_and_simulate_each_cell_once() {
         fs::remove_dir_all(dir).ok();
     }
 }
+
+#[test]
+fn campaign_honors_the_scale_preset() {
+    // table5 simulates nothing, so this costs milliseconds; the report's
+    // plan block records the capacity shift the campaign ran under.
+    let dir = tmp("scale");
+    let status = Command::new(env!("CARGO_BIN_EXE_all_experiments"))
+        .args(["--only", "table5", "--scale", "1/64", "--out"])
+        .arg(&dir)
+        .env_remove("BEAR_SCALE")
+        .stdout(Stdio::null())
+        .stderr(Stdio::null())
+        .status()
+        .expect("campaign");
+    assert!(status.success(), "table5 --scale 1/64 failed");
+    let text = fs::read_to_string(dir.join("table5.json")).expect("table5 report");
+    let shift = Json::parse(&text)
+        .expect("report is JSON")
+        .get("plan")
+        .and_then(|p| p.get("scale_shift"))
+        .and_then(Json::as_u64);
+    assert_eq!(shift, Some(6), "--scale 1/64 must set scale_shift 6");
+    fs::remove_dir_all(dir).ok();
+}

@@ -11,7 +11,6 @@ use bear_dram::config::DramConfig;
 use bear_dram::device::{Completion, DramDevice};
 use bear_dram::mapping::{AddressMapper, Interleave};
 use bear_dram::request::{DramLocation, DramRequest, TrafficClass};
-use bear_dram::shard::{ShardPool, SpanTask};
 use bear_sim::invariants::InvariantSink;
 use bear_sim::time::Cycle;
 use std::collections::VecDeque;
@@ -259,42 +258,33 @@ impl DeviceHarness {
             .min(self.mem.completion_horizon(now))
     }
 
-    /// Advances every channel of both devices from `now` to `horizon` on
-    /// `pool`, replaying each channel's busy ticks exactly as per-cycle
+    /// Advances every busy channel of both devices from `now` to
+    /// `horizon`, replaying each channel's busy ticks exactly as per-cycle
     /// driving would (see [`Channel::advance_to`]). The caller must have
     /// established `horizon <= self.completion_horizon(now)` and must not
     /// submit requests during the span; under that contract no completion
-    /// occurs, so the merged state is bit-identical across thread counts.
+    /// occurs, so the result is bit-identical to ticking every cycle.
     ///
     /// [`Channel::advance_to`]: bear_dram::channel::Channel::advance_to
-    pub fn advance_span(&mut self, now: Cycle, horizon: Cycle, pool: &mut ShardPool) {
+    pub fn advance_span(&mut self, now: Cycle, horizon: Cycle) {
         debug_assert!(
             self.cache_retry.is_empty() && self.mem_retry.is_empty(),
             "span advance with retry backlog"
         );
-        // Spans shorter than this run serially even on a multi-thread
-        // pool: waking workers costs more than ticking a few cycles.
-        const PARALLEL_SPAN_MIN: u64 = 24;
-        let mut tasks: Vec<SpanTask<'_>> = self
+        let mut scratch = Vec::new();
+        for channel in self
             .cache
             .channels_mut()
             .iter_mut()
             .chain(self.mem.channels_mut())
             .filter(|ch| ch.next_busy_cycle(now) < horizon)
-            .map(|channel| SpanTask {
-                channel,
-                now,
-                horizon,
-            })
-            .collect();
-        if horizon - now < PARALLEL_SPAN_MIN {
-            let mut scratch = Vec::new();
-            for t in &mut tasks {
-                t.channel.advance_to(t.now, t.horizon, &mut scratch);
-                debug_assert!(scratch.is_empty(), "completion retired inside a span");
-            }
-        } else {
-            pool.run(&mut tasks);
+        {
+            channel.advance_to(now, horizon, &mut scratch);
+            assert!(
+                scratch.is_empty(),
+                "span produced a completion before its horizon — \
+                 completion_horizon contract violated"
+            );
         }
     }
 

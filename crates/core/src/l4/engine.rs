@@ -35,7 +35,7 @@ use bear_sim::time::Cycle;
 ///
 /// Allocation order is deterministic (LIFO free list), so the ids a run
 /// produces — and everything keyed on them, like completion routing —
-/// are identical across runs and thread counts.
+/// are identical across runs and run-loop modes.
 #[derive(Debug, Clone, Default)]
 pub struct TxnTable<T> {
     slots: Vec<Option<T>>,
@@ -311,7 +311,7 @@ mod tests {
     #[test]
     fn txn_table_allocation_is_deterministic() {
         // Two tables fed the same insert/remove schedule hand out the
-        // same ids — the property thread-count invariance leans on.
+        // same ids — the property run-loop invariance leans on.
         let mut x = TxnTable::new();
         let mut y = TxnTable::new();
         let mut ids_x = Vec::new();

@@ -12,7 +12,6 @@ use crate::l3::{L3Cache, L3Result};
 use crate::l4::{build_controller, L4Cache, L4Outputs};
 use crate::metrics::{BloatBreakdown, L4StatsSnapshot, RunStats};
 use bear_cpu::{Core, LoadToken};
-use bear_dram::shard::{sim_threads_from_env, ShardPool};
 use bear_sim::error::SimError;
 use bear_sim::faultinject::{FaultKind, FaultPlan};
 use bear_sim::invariants::{CheckMode, InvariantSink, Violation};
@@ -113,11 +112,8 @@ pub struct System {
     skipped_cycles: u64,
     /// Live [`System::tick`] calls since construction (diagnostic).
     live_ticks: u64,
-    /// Cycles covered by channel-sharded span advances (diagnostic).
+    /// Cycles covered by per-channel span advances (diagnostic).
     span_cycles: u64,
-    /// Worker pool for span advances. One thread (the default) spawns no
-    /// workers and executes spans inline on the calling thread.
-    shard_pool: ShardPool,
     /// Telemetry state while armed (`None` costs one pointer check per
     /// tick; absent entirely without the `telemetry` feature).
     #[cfg(feature = "telemetry")]
@@ -158,7 +154,6 @@ impl System {
     /// Returns [`SimError::Config`] when `cfg` fails validation.
     pub fn try_build(cfg: &SystemConfig, workload: &Workload) -> Result<Self, SimError> {
         cfg.validate()?;
-        let threads = sim_threads_from_env()?;
         let cores = workload
             .benchmarks
             .iter()
@@ -173,7 +168,7 @@ impl System {
                 Core::new(i as u32, Box::new(trace), cfg.core)
             })
             .collect();
-        Ok(Self::assemble(cfg, cores, threads))
+        Ok(Self::assemble(cfg, cores))
     }
 
     /// Builds the system from explicit trace sources, one core per source.
@@ -189,16 +184,15 @@ impl System {
         sources: Vec<Box<dyn TraceSource>>,
     ) -> Result<Self, SimError> {
         cfg.validate()?;
-        let threads = sim_threads_from_env()?;
         let cores = sources
             .into_iter()
             .enumerate()
             .map(|(i, src)| Core::new(i as u32, src, cfg.core))
             .collect();
-        Ok(Self::assemble(cfg, cores, threads))
+        Ok(Self::assemble(cfg, cores))
     }
 
-    fn assemble(cfg: &SystemConfig, cores: Vec<Core>, sim_threads: usize) -> Self {
+    fn assemble(cfg: &SystemConfig, cores: Vec<Core>) -> Self {
         let mut sys = System {
             cores,
             l3: L3Cache::new(cfg.l3_capacity(), cfg.l3_ways),
@@ -219,7 +213,6 @@ impl System {
             skipped_cycles: 0,
             live_ticks: 0,
             span_cycles: 0,
-            shard_pool: ShardPool::new(sim_threads),
             #[cfg(feature = "telemetry")]
             telemetry: None,
             cfg: cfg.clone(),
@@ -412,39 +405,19 @@ impl System {
         (self.skipped_cycles, self.live_ticks)
     }
 
-    /// Cycles covered by channel-sharded span advances since construction
+    /// Cycles covered by per-channel span advances since construction
     /// (diagnostic; these cycles appear in neither [`System::loop_counters`]
     /// bucket — the devices ticked, the system loop did not).
     pub fn span_cycles(&self) -> u64 {
         self.span_cycles
     }
 
-    /// Active simulation thread count (1 = serial).
-    pub fn sim_threads(&self) -> usize {
-        self.shard_pool.threads()
-    }
-
-    /// Replaces the span-advance worker pool with one of `threads`
-    /// threads, overriding the `BEAR_SIM_THREADS` environment value the
-    /// system was built with. Results are byte-identical across any
-    /// setting; only wall-clock changes.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `threads` is 0 or above the shard-pool cap; validate raw
-    /// input with [`bear_dram::shard::parse_sim_threads`] first.
-    pub fn set_sim_threads(&mut self, threads: usize) {
-        if threads != self.shard_pool.threads() {
-            self.shard_pool = ShardPool::new(threads);
-        }
-    }
-
-    /// Shortest span worth the channel-sharded fast path: below this the
+    /// Shortest span worth the per-channel span fast path: below this the
     /// horizon walk (a scheduler-window scan per channel) costs more than
     /// the handful of `System::tick` calls it would elide.
     const MIN_SPAN: u64 = 8;
 
-    /// Channel-sharded span fast path. When every non-device component is
+    /// Per-channel span fast path. When every non-device component is
     /// provably quiet — cores mid-gap, wheel and fault plan idle, the L4
     /// controller waiting purely on completions, retry queues empty — the
     /// only work in the next cycles happens *inside* the DRAM channels,
@@ -452,8 +425,8 @@ impl System {
     /// stays true: no completion (the only signal that can wake the rest
     /// of the system) can retire before it. The span
     /// `[now, min(horizon, first component wake-up))` is then executed by
-    /// ticking each busy channel independently — in parallel across the
-    /// shard pool — and jumping the clock, which is bit-identical to
+    /// ticking each busy channel through it in turn and jumping the
+    /// clock, which is bit-identical to
     /// per-cycle `System::tick` driving because each of those ticks would
     /// have reduced to exactly the per-channel device tick being replayed.
     /// Returns the cycles advanced (0 = fast path not applicable).
@@ -509,9 +482,7 @@ impl System {
             return 0;
         }
         let end = now + span;
-        self.l4
-            .harness_mut()
-            .advance_span(now, end, &mut self.shard_pool);
+        self.l4.harness_mut().advance_span(now, end);
         if !self.cores_halted {
             for core in &mut self.cores {
                 core.skip_quiet(span);
@@ -523,7 +494,7 @@ impl System {
     }
 
     /// One fast-forward attempt: the plain idle skip first, then the
-    /// channel-sharded span advance, both behind the shared probe
+    /// per-channel span advance, both behind the shared probe
     /// back-off. Returns whether the clock moved (false = the caller must
     /// run a live [`System::tick`]).
     fn fast_forward(&mut self, limit: u64) -> bool {

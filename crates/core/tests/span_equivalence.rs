@@ -1,11 +1,11 @@
-//! Equivalence guards for the channel-sharded span fast path.
+//! Equivalence guards for the per-channel span fast path.
 //!
 //! The span advance claims to be *exact*: jumping the system clock across
-//! a window in which only the DRAM channels are busy, ticking those
-//! channels independently (possibly on worker threads), must land in
-//! precisely the state per-cycle polling reaches. These tests pin that
-//! claim end-to-end — full runs compared field-for-field between the
-//! polled loop, the serial event loop, and every supported thread count.
+//! a window in which only the DRAM channels are busy, ticking each of
+//! those channels independently, must land in precisely the state
+//! per-cycle polling reaches. These tests pin that claim end-to-end —
+//! full runs compared field-for-field between the polled loop and the
+//! event/span loop.
 
 use bear_core::config::{DesignKind, SystemConfig};
 use bear_core::system::System;
@@ -13,10 +13,9 @@ use bear_core::system::System;
 const WARMUP: u64 = 20_000;
 const MEASURE: u64 = 60_000;
 
-fn run(cfg: &SystemConfig, event_driven: bool, threads: usize, bench: &str) -> String {
+fn run(cfg: &SystemConfig, event_driven: bool, bench: &str) -> String {
     let mut sys = System::build_rate(cfg, bench);
     sys.set_event_driven(event_driven);
-    sys.set_sim_threads(threads);
     let stats = sys.run(WARMUP, MEASURE);
     format!("{stats:?}")
 }
@@ -31,22 +30,12 @@ fn span_advance_matches_polled_loop_for_every_design() {
         DesignKind::SectorCache,
     ] {
         let cfg = SystemConfig::paper_baseline(design);
-        let polled = run(&cfg, false, 1, "mcf");
-        let spanned = run(&cfg, true, 1, "mcf");
+        let polled = run(&cfg, false, "mcf");
+        let spanned = run(&cfg, true, "mcf");
         assert_eq!(
             polled, spanned,
             "{design:?}: span loop diverged from polling"
         );
-    }
-}
-
-#[test]
-fn thread_count_never_changes_results() {
-    let cfg = SystemConfig::paper_baseline(DesignKind::Alloy);
-    let serial = run(&cfg, true, 1, "mcf");
-    for threads in [2, 4, 7] {
-        let threaded = run(&cfg, true, threads, "mcf");
-        assert_eq!(serial, threaded, "threads={threads} diverged from serial");
     }
 }
 
@@ -60,14 +49,9 @@ fn salp_subarrays_preserve_span_equivalence() {
     let mut cfg = SystemConfig::paper_baseline(DesignKind::Alloy);
     cfg.cache_dram.topology.subarrays_per_bank = 4;
     cfg.mem_dram.topology.subarrays_per_bank = 2;
-    let polled = run(&cfg, false, 1, "mcf");
-    for threads in [1, 4] {
-        let spanned = run(&cfg, true, threads, "mcf");
-        assert_eq!(
-            polled, spanned,
-            "SALP (threads={threads}): span loop diverged from polling"
-        );
-    }
+    let polled = run(&cfg, false, "mcf");
+    let spanned = run(&cfg, true, "mcf");
+    assert_eq!(polled, spanned, "SALP: span loop diverged from polling");
 }
 
 #[test]

@@ -460,9 +460,8 @@ impl Channel {
     /// refreshes exactly as [`Channel::tick`] at those cycles would. The
     /// caller must pass a `horizon` no later than
     /// [`Channel::completion_horizon`]`(now)` and must not enqueue during
-    /// the span; under that contract no completion can retire, so channels
-    /// can be advanced concurrently and merged deterministically at the
-    /// horizon. Resulting state is bit-identical to serial per-cycle
+    /// the span; under that contract no completion can retire, so each
+    /// channel can be advanced on its own, in any order. Resulting state is bit-identical to serial per-cycle
     /// ticking because each tick runs at exactly the cycle the busy hint
     /// names — the same cycles a per-cycle driver would find non-elidable.
     pub fn advance_to(
@@ -1013,6 +1012,75 @@ mod tests {
         // Skipping straight to the hinted cycle yields the completion.
         ch.tick(busy, &mut completions);
         assert_eq!(completions.len(), 1);
+    }
+
+    /// Alternating span advances with dense ticking must reproduce per-cycle
+    /// driving bit for bit: channel state and every completion (id, finish).
+    #[test]
+    fn advance_to_matches_per_cycle_ticking() {
+        let loaded = || -> Vec<Channel> {
+            (0..5u64)
+                .map(|i| {
+                    let mut ch = Channel::new(cfg());
+                    for id in 0..6u64 {
+                        ch.try_enqueue(DramRequest::read(
+                            i * 100 + id,
+                            loc((id % 4) as u32, id * 3 + i),
+                            5,
+                            TrafficClass(0),
+                            Cycle(0),
+                        ))
+                        .unwrap();
+                    }
+                    ch
+                })
+                .collect()
+        };
+        let mut reference = loaded();
+        let mut spanned = loaded();
+        let (mut ref_done, mut span_done) = (Vec::new(), Vec::new());
+        let mut now = Cycle(0);
+        let mut spans = 0;
+        while spanned.iter().any(|c| c.pending() > 0) {
+            let horizon = spanned
+                .iter()
+                .map(|c| c.completion_horizon(now))
+                .min()
+                .unwrap();
+            if horizon > now + 1 && horizon != Cycle::NEVER {
+                for t in now.raw()..horizon.raw() {
+                    for ch in &mut reference {
+                        ch.tick(Cycle(t), &mut ref_done);
+                    }
+                }
+                for ch in &mut spanned {
+                    ch.advance_to(now, horizon, &mut span_done);
+                }
+                assert!(
+                    span_done.len() == ref_done.len(),
+                    "completion inside a span"
+                );
+                spans += 1;
+                now = horizon;
+            } else {
+                for ch in &mut reference {
+                    ch.tick(now, &mut ref_done);
+                }
+                for ch in &mut spanned {
+                    ch.tick(now, &mut span_done);
+                }
+                now += 1;
+            }
+            assert!(now.raw() < 100_000, "workload must drain");
+        }
+        assert!(spans > 0, "the workload must exercise spans");
+        for (r, s) in reference.iter().zip(&spanned) {
+            assert_eq!(format!("{r:?}"), format!("{s:?}"), "channel state diverged");
+        }
+        let ids = |done: &[ChannelCompletion]| -> Vec<_> {
+            done.iter().map(|c| (c.request.id, c.finish)).collect()
+        };
+        assert_eq!(ids(&ref_done), ids(&span_done), "completions diverged");
     }
 }
 

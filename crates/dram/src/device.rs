@@ -183,8 +183,8 @@ impl DramDevice {
     }
 
     /// Exclusive access to the per-channel controllers, for span-advancing
-    /// them in parallel via [`crate::shard::ShardPool`]. Channels share no
-    /// state, so distinct elements may be mutated concurrently.
+    /// each one independently. Channels share no state, so a span can
+    /// replay one channel's ticks without touching the others.
     pub fn channels_mut(&mut self) -> &mut [Channel] {
         &mut self.channels
     }

@@ -1,4 +1,5 @@
 #![warn(missing_docs)]
+#![forbid(unsafe_code)]
 
 //! Cycle-level DRAM device model.
 //!
@@ -18,8 +19,6 @@
 //!   read priority and batched write drains, and data-bus arbitration.
 //! - [`device`]: the multi-channel device with enqueue/tick/completion API.
 //! - [`mapping`]: physical-address-to-location interleaving policies.
-//! - [`shard`]: span-parallel channel execution on a persistent worker
-//!   pool (`BEAR_SIM_THREADS`), deterministic by construction.
 //!
 //! # Example
 //!
@@ -48,10 +47,8 @@ pub mod config;
 pub mod device;
 pub mod mapping;
 pub mod request;
-pub mod shard;
 
 pub use config::{DramConfig, DramTimings, DramTopology};
 pub use device::{Completion, DramDevice};
 pub use mapping::AddressMapper;
 pub use request::{DramLocation, DramRequest, RequestId, TrafficClass};
-pub use shard::{parse_sim_threads, sim_threads_from_env, ShardPool, SpanTask};

@@ -20,6 +20,7 @@
 //! covers the repro-file workflow.
 
 #![warn(missing_docs)]
+#![forbid(unsafe_code)]
 
 pub mod audit;
 pub mod counts;

@@ -1,4 +1,5 @@
 #![warn(missing_docs)]
+#![forbid(unsafe_code)]
 
 //! Simulation substrate for the BEAR DRAM-cache reproduction.
 //!

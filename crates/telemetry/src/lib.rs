@@ -1,3 +1,5 @@
+#![forbid(unsafe_code)]
+
 //! Observability primitives for the BEAR campaign.
 //!
 //! This crate is deliberately dependency-free and knows nothing about the

@@ -1,4 +1,5 @@
 #![warn(missing_docs)]
+#![forbid(unsafe_code)]
 
 //! Synthetic SPEC-like workloads for the BEAR experiments.
 //!

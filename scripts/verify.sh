@@ -117,19 +117,19 @@ echo "==> SALP elision audit (BEAR_GATE_DIAG=1, multi-subarray banks)"
 # The gate-diagnostic mode re-executes every elided tick and asserts it
 # was a no-op. Running the span-equivalence suite under it audits the
 # subarray-aware busy hints (per-subarray open rows and timing state)
-# on top of the polled-vs-spanned and thread-invariance equalities.
+# on top of the polled-vs-spanned equalities.
 BEAR_GATE_DIAG=1 cargo test -q -p bear-core --offline --test span_equivalence
 
-echo "==> run-loop speedup record (BENCH_core.json, serial + threaded)"
+echo "==> run-loop speedup record (BENCH_core.json, polled vs event-driven)"
 # The event-driven-vs-polling microbench asserts bit-identical results
-# between run-loop modes (including the 2- and 4-thread sharded sweeps)
-# and records per-cell wall clock + the gmean speedups at the repo root.
-# The committed record's serial gmean is a perf-regression floor: the
+# between run-loop modes and records per-cell wall clock + the gmean
+# speedup at the repo root.
+# The committed record's gmean is a perf-regression floor: the
 # fresh run must clear 85% of it (head-room for machine noise).
 cargo build -q --release -p bear-bench --bin loop_speedup --offline
 FLOOR=$(awk -F': ' '/"speedup_gmean"/ {gsub(/,/, "", $2); print $2; exit}' \
   BENCH_core.json 2>/dev/null || true)
-BEAR_QUICK=1 ./target/release/loop_speedup --bench-json BENCH_core.json --threads 2,4
+BEAR_QUICK=1 ./target/release/loop_speedup --bench-json BENCH_core.json
 test -s BENCH_core.json
 NEW=$(awk -F': ' '/"speedup_gmean"/ {gsub(/,/, "", $2); print $2; exit}' BENCH_core.json)
 if [ -n "${FLOOR:-}" ]; then

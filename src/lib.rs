@@ -1,1 +1,3 @@
+#![forbid(unsafe_code)]
+
 //! BEAR reproduction umbrella crate.
