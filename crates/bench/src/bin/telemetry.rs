@@ -236,6 +236,9 @@ fn main() {
     };
     let (stats, report) = run_armed(&cfg, &workloads[0], opts);
     check_window_sums(&stats, &report);
+    // The profile must cover the cycles the event loop skips and spans.
+    let mut phases = report.profile.rows().map(|(phase, ..)| phase);
+    assert!(phases.any(|p| p == "fast-forward"), "no fast-forward phase");
     println!(
         "{} × {}: {} windows, {} ring events, {} transfers",
         cfg.design.label(),

@@ -12,7 +12,7 @@
 //!
 //! Observability-only by construction: nothing here touches `RunStats`
 //! or the report files, so a campaign with no `--metrics-out` stays
-//! byte-identical (the double-gate guard test in `tests/telemetry.rs`
+//! byte-identical (the runtime-gate guard test in `tests/telemetry.rs`
 //! pins this for an *armed* registry too).
 //!
 //! [`BloatBreakdown`]: bear_core::metrics::BloatBreakdown

@@ -26,8 +26,8 @@
 //! an ignorable `.tmp`, never a half sample.
 //!
 //! With no active sink (the default), cells run with
-//! [`TelemetryConfig::Off`] and are byte-identical to a build without the
-//! feature — the `telemetry_off_is_free` guard test pins this.
+//! [`TelemetryConfig::Off`]; armed or not, a cell's report bytes are
+//! identical — the `telemetry_off_is_free` guard test pins this.
 
 use crate::checkpoint::cell_stem;
 use bear_core::config::SystemConfig;

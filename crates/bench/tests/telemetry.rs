@@ -7,7 +7,7 @@
 //!    returns before the sink is consulted, so rerunning a finished
 //!    campaign neither re-simulates nor rewrites (or tears) its sample
 //!    files.
-//! 3. **The metrics registry rides the same double gate** — arming a
+//! 3. **The metrics registry rides the same runtime gate** — arming a
 //!    campaign-wide registry records the cell's attributed decomposition
 //!    without changing a single report byte, and with the registry off
 //!    the run is byte-identical to one that never heard of metrics.
@@ -86,7 +86,7 @@ fn telemetry_off_is_free_and_resume_does_not_duplicate() {
     assert_eq!(lookup_sum, plain.l4.read_lookups, "window sums == totals");
     assert_eq!(mem_sum, plain.mem_bytes, "window sums == totals");
 
-    // Phase 1b: the metrics registry obeys the same double gate. An
+    // Phase 1b: the metrics registry obeys the same runtime gate. An
     // armed registry must observe the cell (non-empty, attributed bytes
     // recorded) while the stats stay byte-identical to the plain run.
     let reg = bear_telemetry::Registry::new();

@@ -226,7 +226,12 @@ impl Engine {
     /// Earliest cycle at which ticking the devices can change state (see
     /// [`DeviceHarness::next_busy_cycle`]). Controllers with no internal
     /// time-based queues can use this directly as their event hint.
+    /// Staged observation events make it busy at once, so they flush on
+    /// the cycle that emitted them, as under per-cycle polling.
     pub fn next_busy_cycle(&self, now: Cycle) -> Cycle {
+        if !self.staged_events.is_empty() {
+            return now;
+        }
         self.harness.next_busy_cycle(now)
     }
 

@@ -17,7 +17,7 @@
 //! The ledger is always on — a fixed-size array add per request is far
 //! below measurement noise and alters no deterministic output — while
 //! everything *derived* from it (window samples, metrics registries)
-//! stays behind the telemetry double gate.
+//! stays behind telemetry's runtime gate.
 
 use crate::traffic::{BloatCategory, MemTraffic};
 use bear_dram::request::TrafficClass;

@@ -28,7 +28,6 @@ const PAGE_BITS: u64 = 52;
 
 /// Per-channel capacity of the DRAM-cache transfer log while telemetry
 /// tracing is armed (newest records win; trace export is windowed anyway).
-#[cfg(feature = "telemetry")]
 const TRANSFER_LOG_CAPACITY: usize = 1 << 16;
 
 /// Virtual-to-physical translation: a deterministic page-granular
@@ -115,8 +114,7 @@ pub struct System {
     /// Cycles covered by per-channel span advances (diagnostic).
     span_cycles: u64,
     /// Telemetry state while armed (`None` costs one pointer check per
-    /// tick; absent entirely without the `telemetry` feature).
-    #[cfg(feature = "telemetry")]
+    /// clock advance).
     telemetry: Option<Box<crate::telemetry::TelemetryState>>,
 }
 
@@ -213,11 +211,10 @@ impl System {
             skipped_cycles: 0,
             live_ticks: 0,
             span_cycles: 0,
-            #[cfg(feature = "telemetry")]
             telemetry: None,
             cfg: cfg.clone(),
         };
-        sys.sync_gating();
+        sys.set_event_driven(true);
         sys
     }
 
@@ -300,26 +297,12 @@ impl System {
     /// both modes produce bit-identical simulated behavior (skipped
     /// cycles are provably no-ops), so this switch only trades wall-clock
     /// speed for the simplicity of per-cycle polling.
+    ///
+    /// The event-driven mode also elides provably-no-op component ticks
+    /// inside live cycles: the device harness skips idle channels and
+    /// [`System::tick`] skips an idle L4 controller.
     pub fn set_event_driven(&mut self, on: bool) {
         self.event_driven = on;
-        self.sync_gating();
-    }
-
-    /// Whether per-component tick elision is active: the event-driven mode
-    /// skips provably-no-op component ticks even inside live cycles.
-    /// Telemetry forces full polling, exactly like whole-cycle skipping.
-    fn component_gating(&self) -> bool {
-        #[cfg(feature = "telemetry")]
-        if self.telemetry.is_some() {
-            return false;
-        }
-        self.event_driven
-    }
-
-    /// Propagates [`System::component_gating`] into the device harness,
-    /// which elides idle channels only while gating is armed.
-    fn sync_gating(&mut self) {
-        let on = self.component_gating();
         self.l4.harness_mut().set_event_gating(on);
     }
 
@@ -328,14 +311,9 @@ impl System {
     /// skipped only when nothing can happen in it: no fault is due, no
     /// delay-wheel event matures, the L4 controller and both DRAM devices
     /// report themselves idle, and every core is mid-gap (or blocked)
-    /// with no request to issue. Telemetry disables skipping outright —
-    /// its per-tick sampling windows observe the clock directly.
+    /// with no request to issue.
     fn idle_gap(&self, limit: u64) -> u64 {
         if !self.event_driven || limit == 0 {
-            return 0;
-        }
-        #[cfg(feature = "telemetry")]
-        if self.telemetry.is_some() {
             return 0;
         }
         let now = self.clock.0;
@@ -433,7 +411,7 @@ impl System {
     ///
     /// [`DeviceHarness::completion_horizon`]: crate::harness::DeviceHarness::completion_horizon
     fn try_span_advance(&mut self, limit: u64) -> u64 {
-        if limit < Self::MIN_SPAN || !self.component_gating() {
+        if limit < Self::MIN_SPAN || !self.event_driven {
             return 0;
         }
         let now = self.clock;
@@ -496,31 +474,39 @@ impl System {
     /// One fast-forward attempt: the plain idle skip first, then the
     /// per-channel span advance, both behind the shared probe
     /// back-off. Returns whether the clock moved (false = the caller must
-    /// run a live [`System::tick`]).
+    /// run a live [`System::tick`]). The self-profiler charges the whole
+    /// attempt, failed probes included, to one `fast-forward` phase.
     fn fast_forward(&mut self, limit: u64) -> bool {
         if self.clock.0 < self.next_probe {
             return false;
         }
+        let mut prof = self.prof_start();
         let gap = self.idle_gap(limit);
-        if gap >= Self::MIN_SKIP.min(limit) {
+        let moved = if gap >= Self::MIN_SKIP.min(limit) {
             self.probe_stride = 1;
             // A skip lands exactly on a busy cycle, so the immediate
             // post-skip probe would always fail: suppress it and resume
             // probing one tick later.
             self.next_probe = self.clock.0 + gap + 1;
             self.skip_idle(gap);
-            return true;
-        }
-        if self.try_span_advance(limit) > 0 {
+            true
+        } else if self.try_span_advance(limit) > 0 {
             // A span lands on a completion cycle: probe again right after
             // the live tick that consumes it, since spans often chain.
             self.probe_stride = 1;
             self.next_probe = self.clock.0 + 1;
-            return true;
+            true
+        } else {
+            self.next_probe = self.clock.0 + self.probe_stride;
+            self.probe_stride = (self.probe_stride * 2).min(Self::MAX_PROBE_STRIDE);
+            false
+        };
+        self.prof_lap(&mut prof, "fast-forward");
+        if moved {
+            self.telemetry_after_advance();
+            self.prof_lap(&mut prof, "telemetry");
         }
-        self.next_probe = self.clock.0 + self.probe_stride;
-        self.probe_stride = (self.probe_stride * 2).min(Self::MAX_PROBE_STRIDE);
-        false
+        moved
     }
 
     /// Halts the cores and ticks until the memory system drains, up to
@@ -547,43 +533,39 @@ impl System {
         self.l4.as_ref()
     }
 
-    /// Arms or disarms telemetry (feature `telemetry`).
+    /// Arms or disarms telemetry, first disarming whatever an earlier
+    /// call armed.
     ///
-    /// Arming with tracing also arms oracle observation (the event stream
-    /// feeds the telemetry ring buffer, which drains it every tick) and
-    /// the DRAM-cache transfer log. Telemetry is purely passive: it reads
-    /// counters the simulator maintains anyway and never feeds anything
-    /// back, so armed and disarmed runs retire identical instruction
-    /// streams and report identical statistics (a bench guard test pins
-    /// this).
-    #[cfg(feature = "telemetry")]
+    /// Arming with tracing also arms the DRAM-cache transfer log and, if
+    /// the caller has not, oracle observation (the event stream feeds the
+    /// telemetry ring buffer, which drains it every tick); disarming turns
+    /// off only what arming turned on. Telemetry is purely passive: it
+    /// reads counters the simulator maintains anyway and never feeds
+    /// anything back, so armed and disarmed runs retire identical
+    /// instruction streams and report identical statistics (a bench guard
+    /// test pins this).
     pub fn set_telemetry(&mut self, cfg: bear_telemetry::TelemetryConfig) {
-        match cfg {
-            bear_telemetry::TelemetryConfig::Off => {
-                if self.telemetry.take().is_some_and(|t| t.trace_armed()) {
-                    self.set_observe(false);
-                    self.l4.harness_mut().cache.set_transfer_log(None);
-                }
+        self.take_telemetry();
+        if let bear_telemetry::TelemetryConfig::On(opts) = cfg {
+            let armed_observe = opts.trace && !self.observe;
+            if opts.trace {
+                self.set_observe(true);
+                self.l4
+                    .harness_mut()
+                    .cache
+                    .set_transfer_log(Some(TRANSFER_LOG_CAPACITY));
             }
-            bear_telemetry::TelemetryConfig::On(opts) => {
-                if opts.trace {
-                    self.set_observe(true);
-                    self.l4
-                        .harness_mut()
-                        .cache
-                        .set_transfer_log(Some(TRANSFER_LOG_CAPACITY));
-                }
-                self.telemetry = Some(Box::new(crate::telemetry::TelemetryState::new(opts)));
-            }
+            self.telemetry = Some(Box::new(crate::telemetry::TelemetryState::new(
+                opts,
+                armed_observe,
+            )));
         }
-        self.sync_gating();
     }
 
     /// Streams every closed sample window through `sink` as it happens,
     /// in addition to collecting it for the end-of-run report. No-op
     /// unless telemetry is armed ([`System::set_telemetry`] first) —
     /// live streaming is a *view* on sampling, not a second sampler.
-    #[cfg(feature = "telemetry")]
     pub fn set_telemetry_live(&mut self, sink: bear_telemetry::LiveSink) {
         if let Some(t) = self.telemetry.as_deref_mut() {
             t.set_live(sink);
@@ -592,33 +574,21 @@ impl System {
 
     /// Hands out everything armed telemetry collected, disarming it.
     /// `None` when telemetry was never armed.
-    #[cfg(feature = "telemetry")]
     pub fn take_telemetry(&mut self) -> Option<crate::telemetry::TelemetryReport> {
         let state = self.telemetry.take()?;
-        let transfers = if state.trace_armed() {
+        if state.armed_observe {
             self.set_observe(false);
-            let records = self.l4.harness_mut().cache.take_transfer_records();
-            self.l4.harness_mut().cache.set_transfer_log(None);
-            records
-        } else {
-            Vec::new()
-        };
-        self.sync_gating();
+        }
+        let mut transfers = Vec::new();
+        if state.trace_armed() {
+            let cache = &mut self.l4.harness_mut().cache;
+            transfers = cache.take_transfer_records();
+            cache.set_transfer_log(None);
+        }
         Some(state.into_report(transfers))
     }
 
-    /// Recent `(cycle, event)` pairs from the telemetry ring buffer,
-    /// oldest first (divergence context; empty unless tracing is armed).
-    #[cfg(feature = "telemetry")]
-    pub fn recent_telemetry_events(&self) -> Vec<(u64, ObsEvent)> {
-        self.telemetry
-            .as_ref()
-            .map(|t| t.recent_events())
-            .unwrap_or_default()
-    }
-
     /// Starts a tick-phase timer when profiling is armed.
-    #[cfg(feature = "telemetry")]
     fn prof_start(&self) -> Option<std::time::Instant> {
         match &self.telemetry {
             Some(t) if t.profile_armed() => Some(std::time::Instant::now()),
@@ -627,7 +597,6 @@ impl System {
     }
 
     /// Charges the elapsed phase to `name` and restarts the timer.
-    #[cfg(feature = "telemetry")]
     fn prof_lap(&mut self, t0: &mut Option<std::time::Instant>, name: &'static str) {
         if let (Some(prev), Some(t)) = (t0.as_mut(), self.telemetry.as_deref_mut()) {
             let now = std::time::Instant::now();
@@ -637,16 +606,16 @@ impl System {
         }
     }
 
-    /// Per-tick telemetry hook, called after the clock increment: feeds
-    /// the event ring and closes sample windows when due.
-    #[cfg(feature = "telemetry")]
-    fn telemetry_after_tick(&mut self) {
+    /// Telemetry hook, called after every clock advance (a live tick, a
+    /// skip or a span): feeds the event ring and closes sample windows
+    /// when due.
+    fn telemetry_after_advance(&mut self) {
         if self.telemetry.is_none() {
             return;
         }
         // Take/put the box so the state can borrow the rest of the system.
         let mut t = self.telemetry.take().expect("checked above");
-        t.after_tick(
+        t.after_advance(
             self.clock.0,
             &mut self.events,
             &self.cores,
@@ -656,9 +625,17 @@ impl System {
         self.telemetry = Some(t);
     }
 
+    /// Cycles from now to the next sample-window edge (`u64::MAX` when no
+    /// window is open). Fast-forwards stop on the edge, so windows close
+    /// on exactly the cycles per-cycle polling would close them on.
+    fn cycles_to_window_edge(&self) -> u64 {
+        self.telemetry
+            .as_ref()
+            .map_or(u64::MAX, |t| t.cycles_to_window_edge(self.clock.0))
+    }
+
     /// Starts sample windowing at the warmup→measure boundary (counters
     /// were just reset, so the base snapshot is zero).
-    #[cfg(feature = "telemetry")]
     fn telemetry_begin_measure(&mut self) {
         if let Some(mut t) = self.telemetry.take() {
             t.begin_measure(self.clock.0, &self.cores, &self.l3, self.l4.as_ref());
@@ -667,7 +644,6 @@ impl System {
     }
 
     /// Flushes the final (partial) sample window at measure end.
-    #[cfg(feature = "telemetry")]
     fn telemetry_end_measure(&mut self) {
         if let Some(mut t) = self.telemetry.take() {
             t.end_measure(self.clock.0, &self.cores, &self.l3, self.l4.as_ref());
@@ -855,7 +831,6 @@ impl System {
     pub fn tick(&mut self) {
         let now = self.clock;
         self.live_ticks += 1;
-        #[cfg(feature = "telemetry")]
         let mut prof = self.prof_start();
 
         // 0. Fault injection (testing): corrupt state at the tick boundary
@@ -879,7 +854,6 @@ impl System {
                 }
             }
         }
-        #[cfg(feature = "telemetry")]
         self.prof_lap(&mut prof, "cores+l3");
 
         // 2. Delay-wheel events due now. The cached minimum makes the
@@ -907,7 +881,6 @@ impl System {
                 .first_key_value()
                 .map_or(u64::MAX, |(&due, _)| due);
         }
-        #[cfg(feature = "telemetry")]
         self.prof_lap(&mut prof, "wheel");
 
         // 3. Memory system. Controller events merge in before the
@@ -924,11 +897,10 @@ impl System {
         //    after steps 1–2 so any submission they made is visible (a
         //    fresh submission lands in the harness retry queues, which
         //    report busy immediately).
-        if !self.component_gating() || self.l4.next_busy_cycle(now) <= now {
+        if !self.event_driven || self.l4.next_busy_cycle(now) <= now {
             let mut outputs = std::mem::take(&mut self.outputs);
             outputs.clear();
             self.l4.tick(now, &mut outputs);
-            #[cfg(feature = "telemetry")]
             self.prof_lap(&mut prof, "l4+dram");
             if self.observe {
                 self.events.append(&mut outputs.events);
@@ -940,16 +912,12 @@ impl System {
                 self.apply_delivery(d);
             }
             self.outputs = outputs;
-            #[cfg(feature = "telemetry")]
             self.prof_lap(&mut prof, "deliver");
         }
 
         self.clock += 1;
-        #[cfg(feature = "telemetry")]
-        {
-            self.telemetry_after_tick();
-            self.prof_lap(&mut prof, "telemetry");
-        }
+        self.telemetry_after_advance();
+        self.prof_lap(&mut prof, "telemetry");
     }
 
     /// Queue-occupancy snapshot attached to `Stalled` errors.
@@ -978,10 +946,14 @@ impl System {
         let end = self.clock + cycles;
         while self.clock < end {
             // Fast-forward provably idle cycles, stopping exactly on check
-            // boundaries so invariant checks and the watchdog observe the
-            // same clock values (and states) as per-cycle polling would.
+            // boundaries and sample-window edges so invariant checks, the
+            // watchdog and telemetry observe the same clock values (and
+            // states) as per-cycle polling would.
             let to_boundary = CHECK_STRIDE - (self.clock.0 % CHECK_STRIDE);
-            if !self.fast_forward((end - self.clock).min(to_boundary)) {
+            let limit = (end - self.clock)
+                .min(to_boundary)
+                .min(self.cycles_to_window_edge());
+            if !self.fast_forward(limit) {
                 self.tick();
             }
             if self.clock.0.is_multiple_of(CHECK_STRIDE) {
@@ -1028,12 +1000,10 @@ impl System {
     pub fn run_monitored(&mut self, warmup: u64, measure: u64) -> Result<RunStats, SimError> {
         self.run_phase(warmup)?;
         self.reset_stats();
-        #[cfg(feature = "telemetry")]
         self.telemetry_begin_measure();
         let inst_base: Vec<u64> = self.cores.iter().map(|c| c.retired_insts()).collect();
         let start = self.clock;
         self.run_phase(measure)?;
-        #[cfg(feature = "telemetry")]
         self.telemetry_end_measure();
         let elapsed = self.clock - start;
         let insts_per_core: Vec<u64> = self
@@ -1448,7 +1418,6 @@ mod tests {
     /// warmup→measure boundary, the last partial window is flushed, and
     /// counters reset between windows so per-window sums equal the
     /// end-of-run aggregates.
-    #[cfg(feature = "telemetry")]
     #[test]
     fn telemetry_windows_align_flush_and_sum_to_totals() {
         use bear_telemetry::TelemetryConfig;
@@ -1501,7 +1470,6 @@ mod tests {
 
     /// Telemetry must be invisible to the simulation: stats with sampling,
     /// tracing, and profiling all armed are identical to a disarmed run.
-    #[cfg(feature = "telemetry")]
     #[test]
     fn telemetry_off_and_on_report_identical_stats() {
         use bear_telemetry::TelemetryConfig;
@@ -1521,6 +1489,36 @@ mod tests {
         assert!(!report.transfers.is_empty(), "tracing captured DRAM bursts");
         assert!(!report.profile.is_empty(), "profiling recorded phases");
         assert!(armed.take_telemetry().is_none(), "take disarms");
+    }
+
+    /// Telemetry turns off only the oracle observation it turned on: a
+    /// re-arm without tracing disarms what a traced arm armed, and
+    /// disarming leaves a caller's own observation running.
+    #[test]
+    fn telemetry_disarms_only_the_observation_it_armed() {
+        use bear_telemetry::TelemetryConfig;
+        let cfg = quick_cfg(DesignKind::Alloy);
+        let mut sys = System::build_rate(&cfg, "mcf");
+        sys.set_telemetry(TelemetryConfig::full(5_000));
+        sys.set_telemetry(TelemetryConfig::sampling(5_000));
+        sys.run(20_000, 20_000);
+        sys.take_telemetry().expect("armed");
+        assert!(
+            sys.drain_events().is_empty(),
+            "an untraced re-arm left observation armed"
+        );
+
+        let mut sys = System::build_rate(&cfg, "mcf");
+        sys.set_observe(true);
+        sys.set_telemetry(TelemetryConfig::full(5_000));
+        sys.set_telemetry(TelemetryConfig::Off);
+        for _ in 0..20_000 {
+            sys.tick();
+        }
+        assert!(
+            !sys.drain_events().is_empty(),
+            "disarming telemetry turned off the caller's observation"
+        );
     }
 
     #[test]

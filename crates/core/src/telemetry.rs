@@ -1,12 +1,12 @@
-//! Simulator-side telemetry state (feature `telemetry`).
+//! Simulator-side telemetry state.
 //!
 //! The dependency-free shapes — [`Sample`], ring buffer, Chrome trace
 //! builder, self-profiler — live in `bear-telemetry`; this module owns
-//! the glue that fills them from live simulator state. It is compiled
-//! only with the `telemetry` cargo feature, and even then costs nothing
-//! unless a run arms it via
-//! [`crate::system::System::set_telemetry`]: the per-tick hook is a
-//! single `Option` check when disarmed.
+//! the glue that fills them from live simulator state. It costs nothing
+//! unless a run arms it via [`crate::system::System::set_telemetry`]:
+//! the hook after each clock advance is a single `Option` check when
+//! disarmed. Armed runs keep the event-driven loop, whose fast-forwards
+//! stop on window edges, so windows close on the cycles polling gives.
 //!
 //! Sampling model: at the warmup→measure boundary a cumulative
 //! [`CounterSnapshot`] is taken as the base; every `sample_window`
@@ -114,6 +114,9 @@ pub struct TelemetryReport {
 #[derive(Debug)]
 pub(crate) struct TelemetryState {
     opts: TelemetryOptions,
+    /// Whether arming turned oracle observation on, so disarming must
+    /// turn it off again.
+    pub(crate) armed_observe: bool,
     /// Sampling runs only inside the measurement phase.
     in_measure: bool,
     window_start: u64,
@@ -128,11 +131,12 @@ pub(crate) struct TelemetryState {
 }
 
 impl TelemetryState {
-    pub(crate) fn new(opts: TelemetryOptions) -> Self {
+    pub(crate) fn new(opts: TelemetryOptions, armed_observe: bool) -> Self {
         assert!(opts.sample_window > 0, "sample window must be positive");
         let ring_capacity = if opts.trace { opts.ring_capacity } else { 0 };
         TelemetryState {
             opts,
+            armed_observe,
             in_measure: false,
             window_start: 0,
             window_index: 0,
@@ -158,6 +162,16 @@ impl TelemetryState {
         self.opts.profile
     }
 
+    /// Cycles from `clock` to the open window's edge (`u64::MAX` outside
+    /// the measurement phase).
+    pub(crate) fn cycles_to_window_edge(&self, clock: u64) -> u64 {
+        if self.in_measure {
+            self.window_start + self.opts.sample_window - clock
+        } else {
+            u64::MAX
+        }
+    }
+
     /// Starts windowing at the warmup→measure boundary. Counters were just
     /// reset, so the base snapshot is all-zero deltas from here on.
     pub(crate) fn begin_measure(
@@ -173,10 +187,11 @@ impl TelemetryState {
         self.window_index = 0;
     }
 
-    /// Per-tick hook, called with the *post-increment* clock. Drains this
-    /// tick's observation events into the ring (stamped with the cycle
-    /// they happened on) and closes a window when one is due.
-    pub(crate) fn after_tick(
+    /// Hook called with the clock after every advance. Drains the
+    /// observation events into the ring, stamped with the cycle they
+    /// happened on (only live ticks emit them: the cycle before `clock`),
+    /// and closes a window when one is due.
+    pub(crate) fn after_advance(
         &mut self,
         clock: u64,
         events: &mut Vec<ObsEvent>,
@@ -272,12 +287,6 @@ impl TelemetryState {
         self.base = cur;
         self.window_start = end;
         self.window_index += 1;
-    }
-
-    /// Recent `(cycle, event)` pairs in the ring, oldest first (divergence
-    /// context for the fuzzer; also used by trace export).
-    pub(crate) fn recent_events(&self) -> Vec<(u64, ObsEvent)> {
-        self.ring.iter().copied().collect()
     }
 
     pub(crate) fn into_report(self, transfers: Vec<TransferRecord>) -> TelemetryReport {

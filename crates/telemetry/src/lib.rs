@@ -25,8 +25,9 @@
 //!   [`metrics`](crate::metrics) module docs).
 //!
 //! Everything here is inert unless armed: the simulator gates its hooks
-//! behind both a `telemetry` cargo feature and a runtime
-//! [`TelemetryConfig::Off`] default, so disabled runs pay nothing.
+//! at run time only, behind a [`TelemetryConfig::Off`] default, so a
+//! disabled run pays one `None` check per clock advance. An armed run
+//! takes the same event-driven loop as a disabled one.
 
 pub mod metrics;
 mod profile;
