@@ -11,10 +11,13 @@
 //! and serves newline-delimited JSON job submissions until a client
 //! sends `{"op":"drain"}` — then finishes (or, in `fast` mode,
 //! checkpoints) in-flight work, flushes `DIR/failures.json` and
-//! `DIR/daemon_report.json`, and exits 0. Setting `BEAR_CHAOS_SEED`
-//! arms the daemon-level chaos plan (connection drops, worker kills,
-//! and whole-process kill -9 between journal and ack) that
-//! `tests/daemon.rs` uses to prove crash-safe recovery.
+//! `DIR/daemon_report.json`, and exits 0. Jobs run against the same
+//! `DIR/cells/` store campaigns use, so serving a campaign's `--out DIR`
+//! replays the cells it already committed. A malformed numeric flag is a
+//! usage error (exit 2). Setting `BEAR_CHAOS_SEED` arms the daemon-level
+//! chaos plan (connection drops, worker kills, and whole-process kill -9
+//! between journal and ack) that `tests/daemon.rs` uses to prove
+//! crash-safe recovery.
 //!
 //! Smoke mode (the service-level benchmark `scripts/verify.sh` runs):
 //!
@@ -52,6 +55,14 @@ struct Args {
     bench_json: Option<PathBuf>,
 }
 
+/// A non-negative integer flag value, or a usage error.
+fn count(flag: &str, v: String) -> usize {
+    v.parse().unwrap_or_else(|_| {
+        eprintln!("{flag} needs a non-negative integer, got {v:?}");
+        usage()
+    })
+}
+
 fn parse_args() -> Args {
     let mut args = Args {
         listen: None,
@@ -73,9 +84,9 @@ fn parse_args() -> Args {
         match flag.as_str() {
             "--listen" => args.listen = Some(value("--listen")),
             "--out" => args.out = Some(PathBuf::from(value("--out"))),
-            "--workers" => args.workers = value("--workers").parse().ok(),
-            "--queue" => args.queue = value("--queue").parse().ok(),
-            "--client-quota" => args.client_quota = value("--client-quota").parse().ok(),
+            "--workers" => args.workers = Some(count(&flag, value("--workers"))),
+            "--queue" => args.queue = Some(count(&flag, value("--queue"))),
+            "--client-quota" => args.client_quota = Some(count(&flag, value("--client-quota"))),
             "--smoke" => args.smoke = true,
             "--bench-json" => args.bench_json = Some(PathBuf::from(value("--bench-json"))),
             _ => {
@@ -98,15 +109,9 @@ fn main() {
         usage()
     };
     let mut cfg = DaemonConfig::new(&out).chaos_from_env();
-    if let Some(w) = args.workers {
-        cfg.workers = w;
-    }
-    if let Some(q) = args.queue {
-        cfg.queue_capacity = q;
-    }
-    if let Some(q) = args.client_quota {
-        cfg.client_quota = q;
-    }
+    cfg.workers = args.workers.unwrap_or(cfg.workers);
+    cfg.queue_capacity = args.queue.unwrap_or(cfg.queue_capacity);
+    cfg.client_quota = args.client_quota.unwrap_or(cfg.client_quota);
     let daemon = match Daemon::start(cfg, &listen) {
         Ok(d) => d,
         Err(e) => {

@@ -31,7 +31,7 @@
 //!   pinned [`SMOKE_SEED`] and publishes `BENCH_chaos.json`.
 
 use crate::report::Json;
-use crate::{checkpoint, config_for, supervisor, RunPlan};
+use crate::{checkpoint, config_for, RunPlan};
 use bear_core::config::{BearFeatures, DesignKind, SystemConfig};
 use bear_sim::error::SimError;
 use bear_sim::faultinject::{ChaosFault, ChaosKind, ChaosPlan};
@@ -157,41 +157,6 @@ pub(crate) fn checkpoint_fault_for(cfg: &SystemConfig, workload: &Workload) -> O
         .expect("chaos state poisoned")
         .as_ref()
         .and_then(|a| a.plan.checkpoint_fault(key))
-}
-
-/// Records an absorbed checkpoint fault (shared wording for the torn /
-/// io variants applied by [`crate::checkpoint`]).
-pub(crate) fn record_absorbed_checkpoint(
-    cfg: &SystemConfig,
-    workload: &Workload,
-    kind: ChaosKind,
-    detail: &str,
-) {
-    eprintln!(
-        "[chaos: {} on checkpoint of {} × {} ({detail})]",
-        kind.label(),
-        cfg.design.label(),
-        workload.name
-    );
-    supervisor::record_absorbed(
-        cfg.design.label(),
-        &workload.name,
-        "io",
-        kind.label(),
-        detail,
-    );
-}
-
-/// Truncates `path` to 60% of its length — a committed-looking but torn
-/// checkpoint artifact, as left by a crash between the data write and
-/// the disk. Best-effort; the point is the corruption, not its success.
-pub(crate) fn tear_file(path: &Path) {
-    if let Ok(meta) = fs::metadata(path) {
-        let keep = (meta.len() as usize * 3) / 5;
-        if let Ok(bytes) = fs::read(path) {
-            fs::write(path, &bytes[..keep.min(bytes.len())]).ok();
-        }
-    }
 }
 
 /// Notes one successful cell completion; if the plan scheduled a kill at
@@ -669,15 +634,6 @@ mod tests {
             }
         }
         panic!("no covering seed below 100000");
-    }
-
-    #[test]
-    fn tear_file_truncates_in_place() {
-        let path = std::env::temp_dir().join(format!("bear_tear_{}", std::process::id()));
-        fs::write(&path, vec![b'x'; 100]).unwrap();
-        tear_file(&path);
-        assert_eq!(fs::metadata(&path).unwrap().len(), 60);
-        fs::remove_file(&path).ok();
     }
 
     #[test]

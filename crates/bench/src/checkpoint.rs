@@ -48,6 +48,10 @@
 //! The store is activated once per campaign by the driver
 //! ([`set_active`]); `try_run_one` consults it transparently, so every
 //! experiment module gains checkpointing and reuse without code changes.
+//! The `beard` daemon serves its jobs from the same `DIR/cells/` store
+//! through the same cell runner ([`crate::run_cell_in`]), so a daemon
+//! started on a campaign's report directory replays the campaign's cells
+//! and a later campaign reloads the daemon's.
 
 use crate::report::{stats_from_json, stats_to_json, Json};
 use bear_core::config::SystemConfig;
@@ -214,17 +218,15 @@ impl CellStore {
             ));
         }
         let marker = format!("{:016x}\n", fnv1a64(body.as_bytes()));
-        let torn = fault == Some(ChaosKind::TornCheckpoint);
+        // The torn-checkpoint fault leaves a committed marker over the
+        // first 60% of the data, as a crashed filesystem can.
+        let torn = (fault == Some(ChaosKind::TornCheckpoint))
+            .then(|| body.get(..body.len() * 3 / 5).unwrap_or_default());
         let dir = match &self.backend {
             Backend::Dir(dir) => dir,
             Backend::Mem(files) => {
-                let kept = if torn {
-                    body.get(..body.len() * 3 / 5).unwrap_or_default()
-                } else {
-                    body
-                };
                 let mut files = files.lock().expect("cell store poisoned");
-                files.insert(format!("{stem}.json"), kept.to_string());
+                files.insert(format!("{stem}.json"), torn.unwrap_or(body).to_string());
                 files.insert(format!("{stem}.done"), marker);
                 return Ok(());
             }
@@ -248,8 +250,8 @@ impl CellStore {
         if let Ok(d) = File::open(dir) {
             d.sync_all().ok();
         }
-        if torn {
-            crate::chaos::tear_file(&json_path);
+        if let Some(kept) = torn {
+            fs::write(&json_path, kept).ok();
         }
         Ok(())
     }
@@ -333,6 +335,31 @@ impl CellStore {
         self.read(&format!("{stem}.{flag}")).is_some()
     }
 
+    /// Commits a finished cell, best-effort: a write error is a warning,
+    /// never a failed simulation. An armed [`crate::chaos`] plan's
+    /// checkpoint fault for this cell (torn file, failed fsync) is
+    /// applied here and recorded as an *absorbed* event: the in-memory
+    /// result survives, so the fault costs a re-run, never a result.
+    pub(crate) fn commit(&self, cfg: &SystemConfig, workload: &Workload, stats: &RunStats) {
+        let fault = crate::chaos::checkpoint_fault_for(cfg, workload);
+        let result = self.store_with_fault(cfg, workload, stats, fault);
+        if let Some(kind) = fault {
+            let detail = if result.is_ok() {
+                "data file truncated after commit; resume re-runs the cell"
+            } else {
+                "cell left unpersisted; resume re-runs the cell"
+            };
+            crate::supervisor::record_absorbed(cfg, workload, kind, detail);
+        }
+        if let Err(e) = result {
+            eprintln!(
+                "[warning: failed to checkpoint {} × {}: {e}]",
+                cfg.design.label(),
+                workload.name
+            );
+        }
+    }
+
     /// Path of this cell's committed data file, or `None` when the cell
     /// has no `.done` marker on disk (quarantine manifests record this so
     /// a failure's repro pointer says whether cached work exists). An
@@ -359,61 +386,8 @@ pub fn set_active(store: Option<CellStore>) {
 }
 
 /// A handle on the active store; the lock is not held across its I/O.
-fn active() -> Option<CellStore> {
+pub(crate) fn active() -> Option<CellStore> {
     ACTIVE.lock().expect("checkpoint store poisoned").clone()
-}
-
-/// Looks a cell up in the active store, if any.
-pub(crate) fn load_active(cfg: &SystemConfig, workload: &Workload) -> Option<RunStats> {
-    active()?.load(cfg, workload)
-}
-
-/// Persists a cell to the active store, if any. Write errors degrade to
-/// a warning — a full disk must not fail a finished simulation. When a
-/// [`crate::chaos`] plan is armed, the plan's checkpoint fault for this
-/// cell (torn file, failed fsync) is applied here and recorded as an
-/// *absorbed* supervision event: the in-memory result survives either
-/// way, so the fault costs a re-run after a crash, never a result.
-pub(crate) fn store_active(cfg: &SystemConfig, workload: &Workload, stats: &RunStats) {
-    if let Some(store) = active() {
-        let fault = crate::chaos::checkpoint_fault_for(cfg, workload);
-        match store.store_with_fault(cfg, workload, stats, fault) {
-            Ok(()) => {
-                if let Some(kind) = fault {
-                    crate::chaos::record_absorbed_checkpoint(
-                        cfg,
-                        workload,
-                        kind,
-                        "data file truncated after commit; resume re-runs the cell",
-                    );
-                }
-            }
-            Err(e) => {
-                if let Some(kind) = fault {
-                    crate::chaos::record_absorbed_checkpoint(
-                        cfg,
-                        workload,
-                        kind,
-                        "cell left unpersisted; resume re-runs the cell",
-                    );
-                }
-                eprintln!(
-                    "[warning: failed to checkpoint {} × {}: {e}]",
-                    cfg.design.label(),
-                    workload.name
-                );
-            }
-        }
-    }
-}
-
-/// Path of the cell's committed data file in the active store, as a
-/// string for the failure manifest; `None` without an active store or a
-/// committed cell.
-pub(crate) fn active_committed_path(cfg: &SystemConfig, workload: &Workload) -> Option<String> {
-    active()?
-        .committed_path(cfg, workload)
-        .map(|p| p.display().to_string())
 }
 
 #[cfg(test)]

@@ -6,12 +6,17 @@
 //! submissions over a socket, runs them on a worker pool, streams
 //! telemetry back live, and — because it is resident — must stay healthy
 //! under every failure a batch run could simply die from. This module is
-//! that service, built entirely from the substrate the earlier PRs
-//! proved: jobs journal through the fsync'd [`CellStore`] commit
-//! protocol (PR 2), every attempt runs under the
-//! [`supervisor`](crate::supervisor) retry/backoff/deadline/quarantine
-//! state machine (PR 6), and per-job telemetry rides the PR 4 sampler
-//! with a new live streaming sink.
+//! that service, built on the same substrate as batch campaigns: jobs
+//! journal through the fsync'd [`CellStore`] commit protocol under
+//! `OUT/daemon/jobs/`, and every job runs the campaign's cell path — the
+//! one supervised entry
+//! ([`supervise_cell`](crate::supervisor::supervise_cell):
+//! retry/backoff/deadline/quarantine) around the one cell runner
+//! ([`run_cell_in`]) against the campaign's flat `OUT/cells/` store.
+//! A daemon started on a campaign's report directory therefore replays
+//! the campaign's cells instead of simulating them again, and a later
+//! campaign reloads the daemon's. Per-job telemetry rides the sampler
+//! with a live streaming sink as the cell's observer.
 //!
 //! # Protocol
 //!
@@ -38,7 +43,9 @@
 //!
 //! A submission is **acknowledged only after its journal entry is
 //! durably committed** — the `accepted` line is the client's receipt
-//! that the job survives any subsequent daemon death. Malformed JSON,
+//! that the job survives any subsequent daemon death — and its settle
+//! line never precedes that ack, even for a job whose cell is already
+//! stored and settles at once. Malformed JSON,
 //! oversized lines, and truncated submissions yield a typed `error`
 //! response (never a panic, never a hung connection); an unanswered
 //! submit (connection drop, daemon kill) is safely resubmitted — job ids
@@ -59,8 +66,8 @@
 //!   monitor; its in-flight job is requeued at the front and a
 //!   replacement worker is spawned.
 //! - **Crash-safe jobs**: the journal replays on restart — committed,
-//!   uncancelled jobs whose results are not already in the result cache
-//!   are re-enqueued and, the simulator being deterministic, complete
+//!   uncancelled jobs whose cells are not already in the cell store are
+//!   re-enqueued and, the simulator being deterministic, complete
 //!   byte-identically. The chaos suite (`tests/daemon.rs`) proves a
 //!   kill-riddled run's final report equals the fault-free run's, byte
 //!   for byte.
@@ -95,12 +102,12 @@
 use crate::checkpoint::{self, CellStore};
 use crate::report::{stats_to_json, Json};
 use crate::supervisor::{self, SupervisionRow, SupervisorConfig};
-use crate::{config_for, RunPlan};
+use crate::{config_for, run_cell_in, CellObserver, RunPlan};
 use bear_core::config::{BearFeatures, DesignKind, SystemConfig};
 use bear_core::metrics::RunStats;
 use bear_core::system::System;
 use bear_sim::faultinject::{ChaosPlan, DaemonChaosKind};
-use bear_telemetry::{live_channel, Registry};
+use bear_telemetry::{live_channel, LiveSink, Registry, TelemetryConfig};
 use bear_workloads::Workload;
 use std::collections::{BTreeMap, VecDeque};
 use std::io::{BufRead, BufReader, Read, Write};
@@ -556,7 +563,7 @@ impl ReplyHandle {
 /// Service policy for one daemon instance.
 #[derive(Debug, Clone)]
 pub struct DaemonConfig {
-    /// Report directory: the job journal, result cache, `failures.json`,
+    /// Report directory: the job journal, cell store, `failures.json`,
     /// and `daemon_report.json` all live under it.
     pub out: PathBuf,
     /// Worker pool size.
@@ -634,6 +641,9 @@ struct JobRecord {
     /// incarnation — the requeued job must then run).
     kill_fired: bool,
     reply: Option<ReplyHandle>,
+    /// `reply` has carried this job's `accepted` line, so settle lines
+    /// may follow on it.
+    acked: bool,
 }
 
 /// Monotonic service counters, reported by `status` and the drain
@@ -709,7 +719,8 @@ struct Shared {
     cfg: DaemonConfig,
     addr: String,
     journal: CellStore,
-    results: CellStore,
+    /// The cell store shared with batch campaigns (`OUT/cells/`).
+    cells: CellStore,
     state: Mutex<State>,
     /// Signals workers: queue or drain state changed.
     work: Condvar,
@@ -848,7 +859,7 @@ impl Daemon {
     pub fn start(cfg: DaemonConfig, listen: &str) -> std::io::Result<Daemon> {
         std::fs::create_dir_all(&cfg.out)?;
         let journal = CellStore::at(&cfg.out.join("daemon").join("jobs"));
-        let results = CellStore::at(&cfg.out.join("daemon").join("results"));
+        let cells = CellStore::new(&cfg.out);
         let (listener, addr) = Listener::bind(listen)?;
 
         let mut st = State {
@@ -865,12 +876,12 @@ impl Daemon {
             rows: Vec::new(),
             mean_job_ms: 0.0,
         };
-        resume_journal(&journal, &results, &mut st);
+        resume_journal(&journal, &cells, &mut st);
 
         let shared = Arc::new(Shared {
             addr: addr.clone(),
             journal,
-            results,
+            cells,
             state: Mutex::new(st),
             work: Condvar::new(),
             settled: Condvar::new(),
@@ -961,11 +972,11 @@ impl Daemon {
 }
 
 /// Replays the journal into the scheduler: committed, uncancelled
-/// entries parse back into specs; those with cached results settle as
+/// entries parse back into specs; those whose cells are stored settle as
 /// completed immediately, the rest re-enqueue (client `Queued`, no reply
 /// handle — the submitting connection died with the previous
 /// incarnation, which is exactly why the journal exists).
-fn resume_journal(journal: &CellStore, results: &CellStore, st: &mut State) {
+fn resume_journal(journal: &CellStore, cells: &CellStore, st: &mut State) {
     for stem in journal.list_raw() {
         let Some(line) = journal.load_raw(&stem) else {
             continue; // torn entry: the digest already rejected it
@@ -989,7 +1000,7 @@ fn resume_journal(journal: &CellStore, results: &CellStore, st: &mut State) {
         let status = if cancelled {
             st.counters.cancelled += 1;
             JobStatus::Cancelled
-        } else if let Some(stats) = results.load(&spec.system_config(), &spec.workload()) {
+        } else if let Some(stats) = cells.load(&spec.system_config(), &spec.workload()) {
             st.counters.completed += 1;
             JobStatus::Completed(Box::new(stats))
         } else {
@@ -1007,6 +1018,7 @@ fn resume_journal(journal: &CellStore, results: &CellStore, st: &mut State) {
                 cancel_requested: false,
                 kill_fired: false,
                 reply: None,
+                acked: false,
             },
         );
         if queued {
@@ -1133,7 +1145,10 @@ fn serve_conn(shared: &Arc<Shared>, conn: Conn) {
                     }
                     return;
                 }
-                reply.send_line(&response);
+                match response {
+                    Ok(()) => acknowledge(shared, &spec.id, &reply),
+                    Err(line) => reply.send_line(&line),
+                }
             }
             Request::Cancel(id) => {
                 let response = handle_cancel(shared, &id);
@@ -1200,53 +1215,43 @@ fn metrics_line(shared: &Arc<Shared>) -> String {
     .to_string()
 }
 
-fn handle_submit(shared: &Arc<Shared>, spec: &JobSpec, reply: &ReplyHandle) -> String {
-    let accepted_line = |id: &str| {
-        Json::Obj(vec![
-            ("type".into(), Json::Str("accepted".into())),
-            ("id".into(), Json::Str(id.into())),
-        ])
-        .to_string()
-    };
+/// Admits a submission: `Ok` when the job is (or already was) accepted
+/// — the caller then [`acknowledge`]s it — or the rejection line.
+fn handle_submit(shared: &Arc<Shared>, spec: &JobSpec, reply: &ReplyHandle) -> Result<(), String> {
     {
         let mut st = shared.state.lock().expect("daemon state poisoned");
         if st.draining.is_some() {
-            return ProtoError {
+            return Err(ProtoError {
                 kind: "draining",
                 detail: "daemon is draining; submissions are closed".into(),
             }
-            .to_line();
+            .to_line());
         }
         if let Some(rec) = st.jobs.get_mut(&spec.id) {
             if rec.spec == *spec {
                 // Idempotent resubmission (a dropped ack, a resumed
-                // job): re-attach the notification channel and restate
-                // any already-settled outcome.
+                // job): re-attach the notification channel; the ack
+                // restates any already-settled outcome.
                 rec.reply = Some(reply.clone());
-                let settled = settle_line(&rec.spec, &rec.status);
-                drop(st);
-                if let Some(line) = settled {
-                    reply.send_line(&accepted_line(&spec.id));
-                    return line;
-                }
-                return accepted_line(&spec.id);
+                rec.acked = false;
+                return Ok(());
             }
-            return ProtoError {
+            return Err(ProtoError {
                 kind: "id-conflict",
                 detail: format!("job {:?} already exists with a different spec", spec.id),
             }
-            .to_line();
-        }
-        if st.queued >= shared.cfg.queue_capacity {
-            st.counters.shed += 1;
-            record_shed(&shared.registry, &spec.client);
-            return overloaded_line(spec, &st, shared.cfg.workers, "queue full");
+            .to_line());
         }
         let client_depth = st.queues.get(&spec.client).map_or(0, VecDeque::len);
-        if client_depth >= shared.cfg.client_quota {
+        let full = if st.queued >= shared.cfg.queue_capacity {
+            Some("queue full")
+        } else {
+            (client_depth >= shared.cfg.client_quota).then_some("client quota exhausted")
+        };
+        if let Some(why) = full {
             st.counters.shed += 1;
             record_shed(&shared.registry, &spec.client);
-            return overloaded_line(spec, &st, shared.cfg.workers, "client quota exhausted");
+            return Err(overloaded_line(spec, &st, shared.cfg.workers, why));
         }
         st.jobs.insert(
             spec.id.clone(),
@@ -1256,6 +1261,7 @@ fn handle_submit(shared: &Arc<Shared>, spec: &JobSpec, reply: &ReplyHandle) -> S
                 cancel_requested: false,
                 kill_fired: false,
                 reply: Some(reply.clone()),
+                acked: false,
             },
         );
         enqueue(&mut st, &spec.client, spec.id.clone());
@@ -1280,19 +1286,40 @@ fn handle_submit(shared: &Arc<Shared>, spec: &JobSpec, reply: &ReplyHandle) -> S
             st.counters.accepted -= 1;
         }
         drop(st);
-        return ProtoError {
+        return Err(ProtoError {
             kind: "io",
             detail: format!("could not journal job: {e}"),
         }
-        .to_line();
+        .to_line());
     }
     maybe_daemon_kill(shared, spec);
     shared.work.notify_all();
-    accepted_line(&spec.id)
+    Ok(())
 }
 
-/// Bumps the per-client shed counter (both shed paths: queue full and
-/// client quota).
+/// Sends a job's `accepted` line, then marks the job acked so its settle
+/// line follows — restated here when the job settled first (a stored
+/// cell settles at once): a settle line never precedes its ack.
+fn acknowledge(shared: &Arc<Shared>, id: &str, reply: &ReplyHandle) {
+    reply.send_line(&job_line("accepted", id));
+    let mut st = shared.state.lock().expect("daemon state poisoned");
+    let settled = st.jobs.get_mut(id).and_then(|rec| {
+        // A resubmission on another connection may have taken over the
+        // job's notifications; only the connection it notifies is acked.
+        let ours = rec
+            .reply
+            .as_ref()
+            .is_some_and(|r| Arc::ptr_eq(&r.0, &reply.0));
+        rec.acked |= ours;
+        settle_line(&rec.spec, &rec.status)
+    });
+    drop(st);
+    if let Some(line) = settled {
+        reply.send_line(&line);
+    }
+}
+
+/// Bumps the per-client shed counter.
 fn record_shed(reg: &Registry, client: &str) {
     reg.set_help(
         "beard_sheds_total",
@@ -1344,14 +1371,16 @@ fn maybe_daemon_kill(shared: &Arc<Shared>, spec: &JobSpec) {
     std::process::abort();
 }
 
+/// A one-line `{"type": kind, "id": id}` response.
+fn job_line(kind: &str, id: &str) -> String {
+    Json::Obj(vec![
+        ("type".into(), Json::Str(kind.into())),
+        ("id".into(), Json::Str(id.into())),
+    ])
+    .to_string()
+}
+
 fn handle_cancel(shared: &Arc<Shared>, id: &str) -> String {
-    let cancelled_line = |id: &str, state: &str| {
-        Json::Obj(vec![
-            ("type".into(), Json::Str(state.into())),
-            ("id".into(), Json::Str(id.into())),
-        ])
-        .to_string()
-    };
     let mut st = shared.state.lock().expect("daemon state poisoned");
     let Some(rec) = st.jobs.get_mut(id) else {
         return ProtoError {
@@ -1371,15 +1400,15 @@ fn handle_cancel(shared: &Arc<Shared>, id: &str) -> String {
                 eprintln!("[daemon: failed to persist cancellation of {id}: {e}]");
             }
             shared.settled.notify_all();
-            cancelled_line(id, "cancelled")
+            job_line("cancelled", id)
         }
         JobStatus::Running => {
             // Cooperative: the supervised attempt finishes, its result
             // is discarded, and the job settles as cancelled then.
             rec.cancel_requested = true;
-            cancelled_line(id, "cancelling")
+            job_line("cancelling", id)
         }
-        JobStatus::Cancelled => cancelled_line(id, "cancelled"),
+        JobStatus::Cancelled => job_line("cancelled", id),
         JobStatus::Completed(_) | JobStatus::Failed { .. } => ProtoError {
             kind: "already-settled",
             detail: format!("job {id:?} already settled"),
@@ -1455,12 +1484,10 @@ fn run_job(shared: &Arc<Shared>, idx: usize, id: &str) {
 
     let cfg = spec.system_config();
     let workload = spec.workload();
-    let key = checkpoint::cell_hash(&cfg, &workload);
     let scfg = SupervisorConfig {
         deadline_ms: spec.deadline_ms.or(shared.cfg.supervisor.deadline_ms),
         ..shared.cfg.supervisor
     };
-    let config_label = cfg.design.label().to_string();
     let repro = format!(
         "beard job {} ({}; resubmit the same canonical line)",
         spec.id,
@@ -1473,7 +1500,7 @@ fn run_job(shared: &Arc<Shared>, idx: usize, id: &str) {
     // accumulate into per-job gauges — the "decomposition so far" a
     // metrics scrape sees while the job is still running.
     let trace = spec.trace_id();
-    let (live, forwarder) = if spec.telemetry && reply.is_some() {
+    let (observer, forwarder) = if spec.telemetry && reply.is_some() {
         let (sink, rx) = live_channel();
         let fwd_reply = reply.clone().expect("checked above");
         let fwd_id = spec.id.clone();
@@ -1498,55 +1525,34 @@ fn run_job(shared: &Arc<Shared>, idx: usize, id: &str) {
                 }
             }
         });
-        (Some(sink), Some(handle))
+        let window = spec.sample_window;
+        (Some(LiveTelemetry { window, sink }), Some(handle))
     } else {
         (None, None)
     };
 
     let attempt = {
-        let results = shared.results.clone();
+        let cells = shared.cells.clone();
+        let observer = observer.clone();
         let cfg = cfg.clone();
         let workload = workload.clone();
-        let live = live.clone();
-        let spec = spec.clone();
-        move |_n: u32| {
-            if let Some(cached) = results.load(&cfg, &workload) {
-                return Ok(cached);
-            }
-            let mut sys = System::try_build(&cfg, &workload)?;
-            if spec.telemetry {
-                sys.set_telemetry(bear_telemetry::TelemetryConfig::sampling(
-                    spec.sample_window,
-                ));
-                if let Some(sink) = &live {
-                    sys.set_telemetry_live(sink.clone());
-                }
-            }
-            let mut stats = sys.run_monitored(cfg.warmup_cycles, cfg.measure_cycles)?;
-            stats.workload = workload.name.clone();
-            if let Err(e) = results.store(&cfg, &workload, &stats) {
-                eprintln!(
-                    "[daemon: failed to cache result for {}: {e}]",
-                    workload.name
-                );
-            }
-            Ok(stats)
+        move || {
+            let observer = observer.as_ref().map(|o| o as &dyn CellObserver);
+            run_cell_in(Some(&cells), observer, &cfg, &workload).map(|(stats, _)| stats)
         }
     };
     let (outcome, row) =
-        supervisor::supervise_with(&scfg, key, &config_label, &spec.workload, &repro, attempt);
-    drop(live);
+        supervisor::supervise_cell(&scfg, &cfg, &workload, Some(&shared.cells), &repro, attempt);
+    drop(observer);
     if let Some(h) = forwarder {
         h.join().ok();
     }
 
+    // A failed job reports the attempts its quarantine row counted.
+    let attempts = row.as_ref().map_or(1, |r| r.attempts);
     if let Some(mut row) = row {
         row.experiment = "daemon".into();
         row.trace = Some(trace.clone());
-        row.checkpoint = shared
-            .results
-            .committed_path(&cfg, &workload)
-            .map(|p| p.display().to_string());
         let mut st = shared.state.lock().expect("daemon state poisoned");
         st.rows.push(row.clone());
         drop(st);
@@ -1590,7 +1596,7 @@ fn run_job(shared: &Arc<Shared>, idx: usize, id: &str) {
             Err(e) => JobStatus::Failed {
                 kind: e.kind().to_string(),
                 error: e.to_string(),
-                attempts: scfg.max_retries as usize + 1,
+                attempts,
             },
         }
     };
@@ -1606,7 +1612,7 @@ fn run_job(shared: &Arc<Shared>, idx: usize, id: &str) {
     let stem = rec.spec.stem();
     rec.status = new_status;
     let line = settle_line(&rec.spec, &rec.status);
-    let reply = rec.reply.clone();
+    let reply = rec.reply.clone().filter(|_| rec.acked);
     // EWMA of job wall time (the settle path itself is instantaneous;
     // what matters is a stable, positive hint base).
     let elapsed = started.elapsed().as_millis() as f64;
@@ -1625,6 +1631,21 @@ fn run_job(shared: &Arc<Shared>, idx: usize, id: &str) {
         reply.send_line(&line);
     }
     shared.settled.notify_all();
+}
+
+/// A job's live telemetry: windowed samples streamed to the submitting
+/// connection as each window closes.
+#[derive(Clone)]
+struct LiveTelemetry {
+    window: u64,
+    sink: LiveSink,
+}
+
+impl CellObserver for LiveTelemetry {
+    fn arm(&self, sys: &mut System) {
+        sys.set_telemetry(TelemetryConfig::sampling(self.window));
+        sys.set_telemetry_live(self.sink.clone());
+    }
 }
 
 /// Sets the per-job attributed-byte gauges (and, once known, the final
@@ -1675,7 +1696,7 @@ fn settle_line(spec: &JobSpec, status: &JobStatus) -> Option<String> {
             fields.push(("attempts".into(), Json::uint(*attempts as u64)));
             Some(Json::Obj(fields).to_string())
         }
-        JobStatus::Cancelled => Some(Json::Obj(base("cancelled")).to_string()),
+        JobStatus::Cancelled => Some(job_line("cancelled", &spec.id)),
     }
 }
 
@@ -2045,6 +2066,7 @@ mod tests {
                 cancel_requested: false,
                 kill_fired: false,
                 reply: None,
+                acked: false,
             },
         );
         enqueue(st, client, id.to_string());

@@ -179,19 +179,58 @@ pub fn run_one(cfg: &SystemConfig, workload: &Workload) -> RunStats {
         .unwrap_or_else(|e| panic!("{} × {} failed: {e}", cfg.design.label(), workload.name))
 }
 
-/// Fallible cell runner: validates the configuration, runs under the
-/// forward-progress watchdog, and reports failures as typed
-/// [`SimError`](bear_sim::error::SimError)s instead of panicking.
+/// Watches a freshly simulated cell: arms its system before the run and
+/// collects from it afterwards. A cell reloaded from a store is never
+/// built, so it is never observed — a resumed campaign does not rewrite
+/// a finished cell's telemetry.
+pub trait CellObserver {
+    /// Called once the system is built, before the run starts.
+    fn arm(&self, sys: &mut System);
+
+    /// Called after a successful run, before the cell is committed.
+    fn collect(&self, _cfg: &SystemConfig, _workload: &Workload, _sys: &mut System) {}
+}
+
+/// The one cell runner shared by campaigns and the daemon. Reloads the
+/// cell when `store` holds it; otherwise builds it (validating the
+/// configuration), lets `observer` arm it, runs it under the
+/// forward-progress watchdog and commits the result to `store`. Returns
+/// the stats and whether they were reloaded. Reads no process-wide seam
+/// except an armed chaos plan at commit.
 ///
-/// When a campaign activated a [`checkpoint`] store, a committed cell is
-/// reloaded instead of re-simulating, and a freshly simulated cell is
-/// committed before returning — this is what makes interrupted campaigns
-/// resumable and lets every experiment share the cells another one ran.
+/// # Errors
 ///
-/// When a campaign activated a [`telemetry`] sink, each freshly simulated
-/// cell is armed for windowed sampling and its time series written next
-/// to the reports. Cached cells skip both arming and writing, so a
-/// resumed campaign never duplicates or tears a cell's sample file.
+/// Bad configs, watchdog stalls, and (in debug builds) invariant
+/// violations, as typed errors.
+pub fn run_cell_in(
+    store: Option<&checkpoint::CellStore>,
+    observer: Option<&dyn CellObserver>,
+    cfg: &SystemConfig,
+    workload: &Workload,
+) -> RunOutcome<(RunStats, bool)> {
+    if let Some(cached) = store.and_then(|s| s.load(cfg, workload)) {
+        return Ok((cached, true));
+    }
+    let mut sys = System::try_build(cfg, workload)?;
+    if let Some(o) = observer {
+        o.arm(&mut sys);
+    }
+    let mut stats = sys.run_monitored(cfg.warmup_cycles, cfg.measure_cycles)?;
+    stats.workload = workload.name.clone();
+    if let Some(o) = observer {
+        o.collect(cfg, workload, &mut sys);
+    }
+    if let Some(s) = store {
+        s.commit(cfg, workload, &stats);
+    }
+    Ok((stats, false))
+}
+
+/// Fallible campaign cell runner: [`run_cell_in`] against the
+/// campaign's active [`checkpoint`] store and [`telemetry`] sink, so an
+/// interrupted campaign resumes and every experiment shares the cells
+/// another one ran. Failures come back as typed
+/// [`SimError`](bear_sim::error::SimError)s instead of panics.
 ///
 /// When a campaign armed a [`metrics`] registry (`--metrics-out`), each
 /// freshly simulated cell additionally records its attributed byte
@@ -200,22 +239,16 @@ pub fn run_one(cfg: &SystemConfig, workload: &Workload) -> RunStats {
 ///
 /// # Errors
 ///
-/// Anything [`System::try_build`](bear_core::system::System::try_build)
-/// or the monitored run loop rejects: bad configs, watchdog stalls, and
-/// (in debug builds) invariant violations.
+/// Whatever [`run_cell_in`] rejects.
 pub fn try_run_one(cfg: &SystemConfig, workload: &Workload) -> RunOutcome<RunStats> {
-    if let Some(cached) = checkpoint::load_active(cfg, workload) {
+    let sink = telemetry::active();
+    let observer = sink.as_ref().map(|s| s as &dyn CellObserver);
+    let (stats, reused) = run_cell_in(checkpoint::active().as_ref(), observer, cfg, workload)?;
+    if reused {
         metrics::record_reuse(cfg);
-        runner::heartbeat(cfg, workload);
-        return Ok(cached);
+    } else {
+        metrics::record_cell(cfg, workload, &stats);
     }
-    let mut sys = System::try_build(cfg, workload)?;
-    telemetry::arm_active(&mut sys);
-    let mut stats = sys.run_monitored(cfg.warmup_cycles, cfg.measure_cycles)?;
-    stats.workload = workload.name.clone();
-    telemetry::write_active(cfg, workload, &mut sys);
-    metrics::record_cell(cfg, workload, &stats);
-    checkpoint::store_active(cfg, workload, &stats);
     runner::heartbeat(cfg, workload);
     Ok(stats)
 }

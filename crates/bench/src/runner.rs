@@ -13,11 +13,11 @@
 //!
 //! A cell that fails — panics, stalls against the watchdog, or rejects its
 //! configuration — must not take the rest of the grid down with it.
-//! [`try_parallel_map`] catches panics per cell and converts them into
-//! typed [`SimError`]s. One level up, [`run_suite`] and [`run_matrix`]
-//! run every cell through the [`supervisor`](crate::supervisor) — retry
-//! with backoff for transient failures, wall-clock deadlines, quarantine
-//! on exhaustion — and degrade cells that stay failed to zeroed
+//! [`run_suite`] and [`run_matrix`] run every cell through the
+//! [`supervisor`](crate::supervisor), which catches each attempt's
+//! panics as typed errors — retry with backoff for transient failures,
+//! wall-clock deadlines, quarantine on exhaustion — and degrade cells
+//! that stay failed to zeroed
 //! placeholder stats while recording a
 //! [`FailureRow`](crate::report::FailureRow) (drained by
 //! [`take_failures`] into the experiment's report), so every other cell
@@ -31,7 +31,7 @@ use crate::report::FailureRow;
 use crate::supervisor;
 use bear_core::config::SystemConfig;
 use bear_core::metrics::RunStats;
-use bear_sim::error::{RunOutcome, SimError};
+use bear_sim::error::RunOutcome;
 use bear_workloads::Workload;
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Mutex;
@@ -73,8 +73,9 @@ pub fn workers() -> usize {
 /// With one worker (or one item) this degenerates to a plain serial map,
 /// which is the reference behavior the parallel path must reproduce.
 ///
-/// A panic inside `f` propagates and poisons the whole map; grid code
-/// should prefer [`try_parallel_map`], which isolates it to one cell.
+/// A panic inside `f` fails the whole map: the supervisor isolates each
+/// cell attempt's panics, so one that gets this far (a malformed
+/// supervision knob, say) must stop the campaign, not zero a row.
 pub fn parallel_map<T, R, F>(items: &[T], f: F) -> Vec<R>
 where
     T: Sync,
@@ -105,31 +106,6 @@ where
         .into_iter()
         .map(|r| r.expect("runner slot unfilled"))
         .collect()
-}
-
-/// [`parallel_map`] with per-cell panic isolation: a panic inside `f`
-/// becomes `Err(SimError::Panicked)` for that cell while every other cell
-/// runs to completion. Results stay in input order.
-pub fn try_parallel_map<T, R, F>(items: &[T], f: F) -> Vec<RunOutcome<R>>
-where
-    T: Sync,
-    R: Send,
-    F: Fn(&T) -> RunOutcome<R> + Sync,
-{
-    parallel_map(items, |item| {
-        std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| f(item))).unwrap_or_else(
-            |payload| {
-                let message = if let Some(s) = payload.downcast_ref::<&str>() {
-                    (*s).to_string()
-                } else if let Some(s) = payload.downcast_ref::<String>() {
-                    s.clone()
-                } else {
-                    "non-string panic payload".to_string()
-                };
-                Err(SimError::panicked("cell", message))
-            },
-        )
-    })
 }
 
 /// Campaign-wide progress counters behind the stderr heartbeat.
@@ -229,28 +205,22 @@ pub fn take_failures() -> Vec<FailureRow> {
     v
 }
 
-/// Zeroed stats standing in for a failed cell, so grid indexing (and the
-/// tables computed from it) survive; the recorded failure row carries the
-/// real story. Zero IPC makes the cell's speedup read as 0, which is
-/// visibly wrong in any table — by design.
-fn placeholder_stats(cfg: &SystemConfig, workload: &Workload) -> RunStats {
-    let cores = workload.benchmarks.len();
-    RunStats {
-        workload: workload.name.clone(),
-        design: cfg.design.label().to_string(),
-        insts_per_core: vec![0; cores],
-        ipc_per_core: vec![0.0; cores],
-        ..Default::default()
-    }
-}
-
-/// Degrades a (supervised, already-recorded) failure to placeholder
-/// stats; the supervisor recorded the failure row and announced it.
+/// A cell's stats, or — for a failure the supervisor already recorded
+/// and announced — zeroed stand-in stats, so grid indexing (and the
+/// tables computed from it) survive; the failure row carries the real
+/// story. Zero IPC makes the cell's speedup read as 0, which is visibly
+/// wrong in any table — by design.
 fn settle(cfg: &SystemConfig, workload: &Workload, outcome: RunOutcome<RunStats>) -> RunStats {
-    match outcome {
-        Ok(stats) => stats,
-        Err(_) => placeholder_stats(cfg, workload),
-    }
+    outcome.unwrap_or_else(|_| {
+        let cores = workload.benchmarks.len();
+        RunStats {
+            workload: workload.name.clone(),
+            design: cfg.design.label().to_string(),
+            insts_per_core: vec![0; cores],
+            ipc_per_core: vec![0.0; cores],
+            ..Default::default()
+        }
+    })
 }
 
 /// Runs one configuration over a suite of workloads in parallel,
@@ -259,7 +229,7 @@ fn settle(cfg: &SystemConfig, workload: &Workload, outcome: RunOutcome<RunStats>
 /// to placeholder stats and a recorded failure (see [`take_failures`]).
 pub fn run_suite(cfg: &SystemConfig, workloads: &[Workload]) -> Vec<RunStats> {
     progress_begin(workloads.len());
-    try_parallel_map(workloads, |w| supervisor::run_cell(cfg, w))
+    parallel_map(workloads, |w| supervisor::run_cell(cfg, w))
         .into_iter()
         .zip(workloads)
         .map(|(outcome, w)| settle(cfg, w, outcome))
@@ -276,20 +246,16 @@ pub fn run_matrix(cfgs: &[SystemConfig], workloads: &[Workload]) -> Vec<Vec<RunS
         .flat_map(|c| (0..workloads.len()).map(move |w| (c, w)))
         .collect();
     progress_begin(cells.len());
-    let flat = try_parallel_map(&cells, |&(c, w)| {
+    let outcomes = parallel_map(&cells, |&(c, w)| {
         supervisor::run_cell(&cfgs[c], &workloads[w])
     });
-    let mut out: Vec<Vec<RunStats>> = Vec::with_capacity(cfgs.len());
-    let mut it = flat.into_iter().zip(&cells);
-    for _ in 0..cfgs.len() {
-        out.push(
-            it.by_ref()
-                .take(workloads.len())
-                .map(|(outcome, &(c, w))| settle(&cfgs[c], &workloads[w], outcome))
-                .collect(),
-        );
-    }
-    out
+    let mut flat = outcomes
+        .into_iter()
+        .zip(&cells)
+        .map(|(outcome, &(c, w))| settle(&cfgs[c], &workloads[w], outcome));
+    (0..cfgs.len())
+        .map(|_| flat.by_ref().take(workloads.len()).collect())
+        .collect()
 }
 
 #[cfg(test)]
@@ -319,27 +285,6 @@ mod tests {
         assert_eq!(parse_workers("many"), None);
         assert_eq!(parse_workers("-3"), None);
         assert_eq!(parse_workers("2.5"), None);
-    }
-
-    #[test]
-    fn try_parallel_map_isolates_a_panicking_cell() {
-        let items: Vec<u64> = (0..20).collect();
-        let out = try_parallel_map(&items, |&x| {
-            if x == 7 {
-                panic!("cell seven is poisoned");
-            }
-            Ok(x * 2)
-        });
-        assert_eq!(out.len(), 20);
-        for (i, r) in out.iter().enumerate() {
-            if i == 7 {
-                let e = r.as_ref().unwrap_err();
-                assert_eq!(e.kind(), "panic");
-                assert!(e.to_string().contains("cell seven is poisoned"));
-            } else {
-                assert_eq!(*r.as_ref().unwrap(), i as u64 * 2);
-            }
-        }
     }
 
     #[test]

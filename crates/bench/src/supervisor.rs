@@ -9,9 +9,9 @@
 //! be *quarantined* with enough context to reproduce it, without taking
 //! the campaign down.
 //!
-//! The supervisor wraps every grid cell (see
-//! [`run_cell`], called by [`crate::runner`]'s parallel map) in a retry
-//! loop:
+//! The supervisor wraps every cell — campaign grid cells via
+//! [`run_cell`], called by [`crate::runner`]'s parallel map, and `beard`
+//! jobs alike, through one [`supervise_cell`] entry — in a retry loop:
 //!
 //! 1. Each attempt may run under a wall-clock **deadline**
 //!    (`BEAR_CELL_DEADLINE_MS`); an attempt that outlives it is declared
@@ -35,11 +35,13 @@
 //! chaos plan armed, stdout and every report byte are identical to an
 //! unsupervised run.
 
+use crate::checkpoint::{self, CellStore};
 use crate::report::{FailureRow, Json};
-use crate::{chaos, checkpoint, runner, try_run_one};
+use crate::{chaos, runner, try_run_one};
 use bear_core::config::SystemConfig;
 use bear_core::metrics::RunStats;
 use bear_sim::error::{RunOutcome, SimError};
+use bear_sim::faultinject::ChaosKind;
 use bear_sim::rng::SimRng;
 use bear_telemetry::SelfProfiler;
 use bear_workloads::Workload;
@@ -546,11 +548,7 @@ where
 {
     let (tx, rx) = mpsc::channel();
     let ctx = context.to_string();
-    std::thread::spawn(move || {
-        let out = std::panic::catch_unwind(std::panic::AssertUnwindSafe(f))
-            .unwrap_or_else(|payload| Err(SimError::panicked(&ctx, panic_message(&payload))));
-        tx.send(out).ok();
-    });
+    std::thread::spawn(move || tx.send(run_inline(&ctx, f)).ok());
     match rx.recv_timeout(Duration::from_millis(limit_ms)) {
         Ok(out) => out,
         Err(_) => Err(SimError::timeout(context, limit_ms)),
@@ -578,6 +576,19 @@ where
     F: Fn(u32) -> RunOutcome<R> + Clone + Send + Sync + 'static,
 {
     let context = format!("{config_label}/{workload_name}");
+    let make_row = |disposition, e: &SimError, attempts: u32, chaos| SupervisionRow {
+        experiment: String::new(),
+        config: config_label.to_string(),
+        workload: workload_name.to_string(),
+        disposition,
+        kind: e.kind().to_string(),
+        error: e.to_string(),
+        attempts: attempts as usize,
+        chaos,
+        checkpoint: None,
+        repro: repro.to_string(),
+        trace: None,
+    };
     let mut first_error: Option<SimError> = None;
     let mut chaos_label: Option<String> = None;
     let mut n: u32 = 0;
@@ -608,19 +619,7 @@ where
                     prof_bump("supervisor.healed");
                     let e = first_error.clone().expect("retried without an error");
                     eprintln!("[cell HEALED on attempt {}: {context}: {e}]", n + 1);
-                    SupervisionRow {
-                        experiment: String::new(),
-                        config: config_label.to_string(),
-                        workload: workload_name.to_string(),
-                        disposition: Disposition::Healed,
-                        kind: e.kind().to_string(),
-                        error: e.to_string(),
-                        attempts: n as usize + 1,
-                        chaos: chaos_label.clone(),
-                        checkpoint: None,
-                        repro: repro.to_string(),
-                        trace: None,
-                    }
+                    make_row(Disposition::Healed, &e, n + 1, chaos_label.clone())
                 });
                 return (Ok(r), row);
             }
@@ -643,64 +642,95 @@ where
                     "[cell QUARANTINED after {} attempt(s): {context}: {e}]",
                     n + 1
                 );
-                let row = SupervisionRow {
-                    experiment: String::new(),
-                    config: config_label.to_string(),
-                    workload: workload_name.to_string(),
-                    disposition: Disposition::Quarantined,
-                    kind: e.kind().to_string(),
-                    error: e.to_string(),
-                    attempts: n as usize + 1,
-                    chaos: chaos_label,
-                    checkpoint: None,
-                    repro: repro.to_string(),
-                    trace: None,
-                };
+                let row = make_row(Disposition::Quarantined, &e, n + 1, chaos_label);
                 return (Err(e), Some(row));
             }
         }
     }
 }
 
-/// Records an absorbed fault (one that never reached the cell's result,
-/// e.g. a failed checkpoint write) in the manifest and counters.
-pub(crate) fn record_absorbed(config: &str, workload: &str, kind: &str, chaos: &str, error: &str) {
+/// Records a chaos checkpoint fault the commit path absorbed (the cell's
+/// in-memory result survived it) in the manifest and counters.
+pub(crate) fn record_absorbed(
+    cfg: &SystemConfig,
+    workload: &Workload,
+    kind: ChaosKind,
+    detail: &str,
+) {
+    eprintln!(
+        "[chaos: {} on checkpoint of {} × {} ({detail})]",
+        kind.label(),
+        cfg.design.label(),
+        workload.name
+    );
     prof_bump("supervisor.absorbed");
     push_row(SupervisionRow {
         experiment: String::new(),
-        config: config.to_string(),
-        workload: workload.to_string(),
+        config: cfg.design.label().to_string(),
+        workload: workload.name.clone(),
         disposition: Disposition::Absorbed,
-        kind: kind.to_string(),
-        error: error.to_string(),
+        kind: "io".to_string(),
+        error: detail.to_string(),
         attempts: 0,
-        chaos: Some(chaos.to_string()),
+        chaos: Some(kind.label().to_string()),
         checkpoint: None,
         repro: String::new(),
         trace: None,
     });
 }
 
+/// The one supervised entry for a simulation cell, shared by campaigns
+/// ([`run_cell`]) and the daemon: runs `attempt` under
+/// [`supervise_with`], keyed by the cell's identity and labelled by its
+/// design and workload, and fills the recovery row's checkpoint pointer
+/// from `store`. Recording the row is the caller's job.
+pub fn supervise_cell<F>(
+    scfg: &SupervisorConfig,
+    cfg: &SystemConfig,
+    workload: &Workload,
+    store: Option<&CellStore>,
+    repro: &str,
+    attempt: F,
+) -> (RunOutcome<RunStats>, Option<SupervisionRow>)
+where
+    F: Fn() -> RunOutcome<RunStats> + Clone + Send + Sync + 'static,
+{
+    let key = checkpoint::cell_hash(cfg, workload);
+    let (outcome, mut row) = supervise_with(
+        scfg,
+        key,
+        cfg.design.label(),
+        &workload.name,
+        repro,
+        move |_| attempt(),
+    );
+    if let Some(row) = &mut row {
+        row.checkpoint = store
+            .and_then(|s| s.committed_path(cfg, workload))
+            .map(|p| p.display().to_string());
+    }
+    (outcome, row)
+}
+
 /// The supervised cell runner used by [`crate::runner::run_suite`] /
-/// [`crate::runner::run_matrix`]: wraps [`try_run_one`] in the retry /
-/// deadline / quarantine state machine, records recovery events, and —
-/// on quarantine — the [`FailureRow`] that degrades the cell to a
+/// [`crate::runner::run_matrix`]: [`try_run_one`] under
+/// [`supervise_cell`]; records recovery events in the manifest and — on
+/// quarantine — the [`FailureRow`] that degrades the cell to a
 /// placeholder in the report.
 pub fn run_cell(cfg: &SystemConfig, workload: &Workload) -> RunOutcome<RunStats> {
-    let scfg = SupervisorConfig::from_env();
-    let key = checkpoint::cell_hash(cfg, workload);
-    let stem = checkpoint::cell_stem(cfg, workload);
-    let config_label = cfg.design.label().to_string();
-    let workload_name = workload.name.clone();
-    let repro = format!("cell {stem} (BEAR_WORKERS=1, same plan/env)");
+    let repro = format!(
+        "cell {} (BEAR_WORKERS=1, same plan/env)",
+        checkpoint::cell_stem(cfg, workload)
+    );
     let attempt = {
         let cfg = cfg.clone();
         let workload = workload.clone();
-        move |_n: u32| try_run_one(&cfg, &workload)
+        move || try_run_one(&cfg, &workload)
     };
-    let (outcome, row) = supervise_with(&scfg, key, &config_label, &workload_name, &repro, attempt);
-    if let Some(mut row) = row {
-        row.checkpoint = checkpoint::active_committed_path(cfg, workload);
+    let scfg = SupervisorConfig::from_env();
+    let store = checkpoint::active();
+    let (outcome, row) = supervise_cell(&scfg, cfg, workload, store.as_ref(), &repro, attempt);
+    if let Some(row) = row {
         if row.disposition == Disposition::Quarantined {
             runner::record_failure_row(FailureRow {
                 config: row.config.clone(),

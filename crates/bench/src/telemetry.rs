@@ -3,10 +3,10 @@
 //! The simulator produces telemetry (see `bear_core::telemetry`); this
 //! module decides *whether* a campaign collects it and *where* it lands.
 //! Mirroring [`crate::checkpoint`], a process-wide active sink is set by
-//! the campaign driver ([`set_active`]) and consulted transparently by
-//! `try_run_one`: when a sink is active, every freshly simulated cell is
-//! armed with [`TelemetryConfig::sampling`] and its windowed samples are
-//! written to
+//! the campaign driver ([`set_active`]) and handed by `try_run_one` to
+//! the cell runner as the cell's [`CellObserver`]: when a sink is
+//! active, every freshly simulated cell is armed with
+//! [`TelemetryConfig::sampling`] and its windowed samples are written to
 //!
 //! ```text
 //! DIR/telemetry/<cell_stem>.jsonl     one JSON object per sample window
@@ -18,10 +18,11 @@
 //!
 //! # Resume semantics
 //!
-//! Checkpoint-cached cells return from `try_run_one` *before* the sink is
-//! consulted, so a resumed campaign never re-arms or re-writes telemetry
-//! for a finished cell: its `.jsonl` from the original run stays intact,
-//! with no duplicated or torn windows. Files are written with the same
+//! Checkpoint-cached cells return from the cell runner *before* the
+//! observer is armed, so a resumed campaign never re-arms or re-writes
+//! telemetry for a finished cell: its `.jsonl` from the original run
+//! stays intact, with no duplicated or torn windows. Files are written
+//! with the same
 //! tmp → rename protocol as checkpoints, so an interrupt mid-write leaves
 //! an ignorable `.tmp`, never a half sample.
 //!
@@ -30,6 +31,7 @@
 //! identical — the `telemetry_off_is_free` guard test pins this.
 
 use crate::checkpoint::cell_stem;
+use crate::CellObserver;
 use bear_core::config::SystemConfig;
 use bear_core::system::System;
 use bear_telemetry::{Sample, TelemetryConfig, TelemetryOptions};
@@ -103,33 +105,30 @@ pub fn set_active(sink: Option<TelemetrySink>) {
     *ACTIVE.lock().expect("telemetry sink poisoned") = sink;
 }
 
-/// Arms a freshly built system when a sink is active.
-pub(crate) fn arm_active(sys: &mut System) {
-    if let Some(sink) = ACTIVE.lock().expect("telemetry sink poisoned").as_ref() {
-        sys.set_telemetry(sink.config());
-    }
+/// The active sink, if any.
+pub(crate) fn active() -> Option<TelemetrySink> {
+    ACTIVE.lock().expect("telemetry sink poisoned").clone()
 }
 
-/// Drains a finished cell's telemetry into the active sink, if any.
-/// Write errors degrade to a warning — telemetry must never fail a
-/// finished simulation.
-pub(crate) fn write_active(cfg: &SystemConfig, workload: &Workload, sys: &mut System) {
-    let sink = {
-        let guard = ACTIVE.lock().expect("telemetry sink poisoned");
-        match guard.as_ref() {
-            Some(sink) => sink.clone(),
-            None => return,
+/// A sink arms each freshly simulated cell for windowed sampling and
+/// drains its samples to disk. Write errors degrade to a warning —
+/// telemetry must never fail a finished simulation.
+impl CellObserver for TelemetrySink {
+    fn arm(&self, sys: &mut System) {
+        sys.set_telemetry(self.config());
+    }
+
+    fn collect(&self, cfg: &SystemConfig, workload: &Workload, sys: &mut System) {
+        let Some(report) = sys.take_telemetry() else {
+            return;
+        };
+        if let Err(e) = self.write(cfg, workload, &report.samples) {
+            eprintln!(
+                "[warning: failed to write telemetry for {} × {}: {e}]",
+                cfg.design.label(),
+                workload.name
+            );
         }
-    };
-    let Some(report) = sys.take_telemetry() else {
-        return;
-    };
-    if let Err(e) = sink.write(cfg, workload, &report.samples) {
-        eprintln!(
-            "[warning: failed to write telemetry for {} × {}: {e}]",
-            cfg.design.label(),
-            workload.name
-        );
     }
 }
 

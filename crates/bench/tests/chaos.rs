@@ -66,3 +66,29 @@ fn seeded_chaos_campaign_recovers_byte_identically() {
     }
     fs::remove_dir_all(&work_dir).ok();
 }
+
+/// A malformed supervision knob is a campaign-level fault: the campaign
+/// must fail loudly instead of degrading every cell to a zeroed,
+/// unrecorded placeholder row and publishing the report.
+#[test]
+fn malformed_retry_budget_fails_the_campaign() {
+    let out = std::env::temp_dir().join(format!("bear_bad_retries_{}", std::process::id()));
+    fs::remove_dir_all(&out).ok();
+    let status = std::process::Command::new(env!("CARGO_BIN_EXE_fig07_bab"))
+        .arg("--out")
+        .arg(&out)
+        .env("BEAR_QUICK", "1")
+        .env("BEAR_WARMUP", "2000")
+        .env("BEAR_CYCLES", "2000")
+        .env("BEAR_MAX_RETRIES", "abc")
+        .stdout(std::process::Stdio::null())
+        .stderr(std::process::Stdio::null())
+        .status()
+        .expect("run fig07_bab");
+    assert!(!status.success(), "a malformed BEAR_MAX_RETRIES must fail");
+    assert!(
+        !out.join("fig07.json").exists(),
+        "a failed campaign must not publish its report"
+    );
+    fs::remove_dir_all(&out).ok();
+}

@@ -12,8 +12,9 @@
 //! must be: submissions are idempotent by job id, so its entire recovery
 //! strategy is "reconnect and resubmit everything not yet settled".
 
-use bear_bench::daemon::{smoke_jobs, Client, DAEMON_SMOKE_SEED};
-use bear_bench::report::Json;
+use bear_bench::checkpoint::CellStore;
+use bear_bench::daemon::{smoke_jobs, Client, Daemon, DaemonConfig, JobSpec, DAEMON_SMOKE_SEED};
+use bear_bench::report::{stats_from_json, Json};
 use std::collections::BTreeSet;
 use std::path::{Path, PathBuf};
 use std::process::{Child, Command, Stdio};
@@ -357,5 +358,113 @@ fn truncated_submissions_never_wedge_the_daemon() {
     let drained = c.request("{\"op\":\"drain\"}").expect("drain");
     assert_eq!(read_type(&drained), "drained");
     assert!(child.wait().expect("exit").success());
+    std::fs::remove_dir_all(&dir).ok();
+}
+
+/// Committed cells in `dir`'s shared `cells/` store.
+fn committed_cells(dir: &Path) -> usize {
+    std::fs::read_dir(dir.join("cells")).map_or(0, |entries| {
+        entries
+            .filter_map(Result::ok)
+            .filter(|e| e.path().extension().is_some_and(|x| x == "done"))
+            .count()
+    })
+}
+
+/// Submits `job` and returns its settled stats, parsed back. The ack
+/// must come first, even when the cell settles at once from the store.
+fn complete(c: &mut Client, job: &JobSpec) -> bear_core::metrics::RunStats {
+    c.send(&job.canonical_line()).expect("submit");
+    let ack = c.recv().expect("read").expect("open");
+    assert_eq!(read_type(&ack), "accepted", "ack first: {ack}");
+    let done = c.recv().expect("read").expect("open");
+    assert_eq!(
+        read_type(&done),
+        "completed",
+        "then the settle line: {done}"
+    );
+    stats_from_json(&job.workload, done.get("stats").expect("stats")).expect("stats parse")
+}
+
+/// The daemon and batch campaigns share one cell store: a job for a cell
+/// already committed to `DIR/cells/` replays it without simulating (no
+/// new cell, no second store), and a job for a fresh cell commits it
+/// there for any later campaign to reload.
+#[test]
+fn daemon_replays_cells_from_the_shared_store() {
+    let dir = temp_dir("shared-store");
+    let jobs = smoke_jobs();
+    let (known, fresh) = (&jobs[0], &jobs[1]);
+    let store = CellStore::new(&dir);
+    let stored = bear_bench::run_one(&known.system_config(), &known.workload());
+    store
+        .store(&known.system_config(), &known.workload(), &stored)
+        .expect("commit the campaign's cell");
+    assert_eq!(committed_cells(&dir), 1);
+
+    let mut cfg = DaemonConfig::new(&dir);
+    cfg.workers = 1;
+    let daemon = Daemon::start(cfg, "127.0.0.1:0").expect("daemon start");
+    let mut c = Client::connect(daemon.addr()).expect("connect");
+    c.set_timeout(Some(Duration::from_secs(120)))
+        .expect("timeout");
+
+    assert_eq!(
+        complete(&mut c, known),
+        stored,
+        "replayed stats are the stored ones"
+    );
+    assert_eq!(committed_cells(&dir), 1, "a replay commits nothing");
+
+    let ran = complete(&mut c, fresh);
+    assert_eq!(committed_cells(&dir), 2, "a fresh job commits its cell");
+    assert_eq!(
+        store.load(&fresh.system_config(), &fresh.workload()),
+        Some(ran),
+        "a campaign on DIR reloads the daemon's cell"
+    );
+
+    let drained = c.request("{\"op\":\"drain\"}").expect("drain");
+    assert_eq!(read_type(&drained), "drained");
+    daemon.wait();
+    assert!(
+        !dir.join("daemon").join("results").exists(),
+        "the daemon keeps no second result store"
+    );
+    std::fs::remove_dir_all(&dir).ok();
+}
+
+/// A malformed numeric flag is a usage error (exit 2) before anything is
+/// bound or published — never a silent fallback to the default.
+#[test]
+fn malformed_numeric_flags_are_usage_errors() {
+    let dir = temp_dir("badflag");
+    for flag in ["--workers", "--queue", "--client-quota"] {
+        let mut child = Command::new(beard_exe())
+            .args(["--listen", "127.0.0.1:0", "--out"])
+            .arg(&dir)
+            .args([flag, "two"])
+            .stdout(Stdio::null())
+            .stderr(Stdio::null())
+            .spawn()
+            .expect("spawn beard");
+        let deadline = Instant::now() + Duration::from_secs(30);
+        let status = loop {
+            if let Some(status) = child.try_wait().expect("try_wait") {
+                break status;
+            }
+            if Instant::now() > deadline {
+                child.kill().ok();
+                child.wait().ok();
+                panic!("beard {flag} two kept serving");
+            }
+            std::thread::sleep(Duration::from_millis(10));
+        };
+        assert_eq!(status.code(), Some(2), "{flag} two must exit through usage");
+        assert!(
+            !dir.join("daemon.addr").exists(),
+            "{flag} two must not start serving"
+        );
+    }
     std::fs::remove_dir_all(&dir).ok();
 }

@@ -5,6 +5,18 @@
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
+# Every scratch directory and every freshly measured record lives under
+# one temp dir, removed on any exit (success or a failed step). Fresh
+# BENCH_*.json records land there too, never over the committed files
+# at the repo root. To refresh a committed record on purpose, rerun its
+# step by hand with --bench-json at the repo root, e.g.
+#   BEAR_QUICK=1 ./target/release/loop_speedup --bench-json BENCH_core.json
+#   ./target/release/beard --smoke --out "$(mktemp -d)" --bench-json BENCH_daemon.json
+#   ./target/release/chaos --work-dir "$(mktemp -d)" --bench-json BENCH_chaos.json
+# and commit the result with the change that moved it.
+SCRATCH="$(mktemp -d)"
+trap 'rm -rf "$SCRATCH"' EXIT
+
 echo "==> cargo fmt --check"
 cargo fmt --all -- --check
 
@@ -36,12 +48,10 @@ echo "==> chaos smoke (seeded faults, retry/quarantine, byte-identical recovery)
 # fault-free and then under the pinned chaos seed (worker panics, stalls,
 # torn checkpoints, failed fsyncs, process kills); recovered cells must
 # byte-match the reference and every injected fault must be accounted
-# for. The recovery-overhead record lands in BENCH_chaos.json.
-CHAOS_SMOKE_DIR="$(mktemp -d)"
+# for. The fresh recovery-overhead record lands in $SCRATCH/BENCH_chaos.json.
 cargo build -q --release -p bear-bench --bin chaos --bin all_experiments --offline
-./target/release/chaos --work-dir "$CHAOS_SMOKE_DIR" --bench-json BENCH_chaos.json
-rm -rf "$CHAOS_SMOKE_DIR"
-test -s BENCH_chaos.json
+./target/release/chaos --work-dir "$SCRATCH/chaos" --bench-json "$SCRATCH/BENCH_chaos.json"
+test -s "$SCRATCH/BENCH_chaos.json"
 
 echo "==> oracle-checks feature build (release fuzz runs arm the invariants)"
 # The feature must forward down the stack: building the oracle crate with
@@ -67,12 +77,10 @@ echo "==> daemon smoke (resident service: admission, fairness, overload shed, dr
 # submit over the wire, one job is cancelled mid-run, the daemon drains
 # cleanly, then a zero-worker instance is overloaded to prove typed
 # backpressure with retry-after hints. Latency/shed numbers land in
-# BENCH_daemon.json.
-DAEMON_SMOKE_DIR="$(mktemp -d)"
+# $SCRATCH/BENCH_daemon.json.
 cargo build -q --release -p bear-bench --bin beard --offline
-./target/release/beard --smoke --out "$DAEMON_SMOKE_DIR" --bench-json BENCH_daemon.json
-rm -rf "$DAEMON_SMOKE_DIR"
-test -s BENCH_daemon.json
+./target/release/beard --smoke --out "$SCRATCH/daemon" --bench-json "$SCRATCH/BENCH_daemon.json"
+test -s "$SCRATCH/BENCH_daemon.json"
 
 echo "==> daemon chaos proof (conn drops, worker kills, kill -9 between journal and ack)"
 # A chaos-riddled daemon run (connection drops mid-stream, workers killed
@@ -91,12 +99,10 @@ echo "==> telemetry smoke (JSONL + Chrome trace + self-profile)"
 # armed cell's self-profile charges the event loop's fast-forward phase
 # (telemetry rides the event-driven loop; its only gate is the runtime
 # TelemetryConfig), and disarmed telemetry measures <1% overhead.
-TELEMETRY_SMOKE_DIR="$(mktemp -d)"
-trap 'rm -rf "$TELEMETRY_SMOKE_DIR"' EXIT
 cargo build -q --release -p bear-bench --bin telemetry --offline
-BEAR_BENCH_QUICK=1 ./target/release/telemetry --out "$TELEMETRY_SMOKE_DIR"
-test -s "$TELEMETRY_SMOKE_DIR/trace.json"
-test -s "$TELEMETRY_SMOKE_DIR/self_profile.txt"
+BEAR_BENCH_QUICK=1 ./target/release/telemetry --out "$SCRATCH/telemetry"
+test -s "$SCRATCH/telemetry/trace.json"
+test -s "$SCRATCH/telemetry/self_profile.txt"
 
 echo "==> ledger conservation property (adversarial grid, B/BD/BDN/BEAR)"
 # Every DRAM byte the simulator moves must be attributed to exactly one
@@ -122,15 +128,16 @@ BEAR_GATE_DIAG=1 cargo test -q -p bear-core --offline --test span_equivalence
 echo "==> run-loop speedup record (BENCH_core.json, polled vs event-driven)"
 # The event-driven-vs-polling microbench asserts bit-identical results
 # between run-loop modes and records per-cell wall clock + the gmean
-# speedup at the repo root.
+# speedup in $SCRATCH/BENCH_core.json.
 # The committed record's gmean is a perf-regression floor: the
 # fresh run must clear 85% of it (head-room for machine noise).
 cargo build -q --release -p bear-bench --bin loop_speedup --offline
 FLOOR=$(awk -F': ' '/"speedup_gmean"/ {gsub(/,/, "", $2); print $2; exit}' \
   BENCH_core.json 2>/dev/null || true)
-BEAR_QUICK=1 ./target/release/loop_speedup --bench-json BENCH_core.json
-test -s BENCH_core.json
-NEW=$(awk -F': ' '/"speedup_gmean"/ {gsub(/,/, "", $2); print $2; exit}' BENCH_core.json)
+BEAR_QUICK=1 ./target/release/loop_speedup --bench-json "$SCRATCH/BENCH_core.json"
+test -s "$SCRATCH/BENCH_core.json"
+NEW=$(awk -F': ' '/"speedup_gmean"/ {gsub(/,/, "", $2); print $2; exit}' \
+  "$SCRATCH/BENCH_core.json")
 if [ -n "${FLOOR:-}" ]; then
   awk -v new="$NEW" -v floor="$FLOOR" 'BEGIN {
     if (new + 0 < 0.85 * floor) {
